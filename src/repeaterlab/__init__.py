@@ -22,24 +22,6 @@ from .chain import (
     trace_from_csv,
     trace_to_csv,
 )
-from .dmsim import (
-    BellKind,
-    EppResult,
-    EsResult,
-    MeasurementBranch,
-    apply_one_qubit_noisy,
-    apply_two_qubit_noisy,
-    bell_state,
-    check_density_matrix,
-    epp_oracle,
-    es_oracle,
-    expand_operator,
-    fidelity_to_bell,
-    map_deviations,
-    measure_noisy,
-    partial_trace,
-    werner_state,
-)
 from .noise import (
     LinkModel,
     MemoryModel,
@@ -78,6 +60,35 @@ from .werner import (
 )
 
 __version__ = "0.1.0"
+
+# The density-matrix oracle needs numpy; the scalar modules do not.  Its
+# names resolve on first use, so importing the package leaves numpy out.
+_DMSIM_NAMES = frozenset({
+    "BellKind",
+    "EppResult",
+    "EsResult",
+    "MeasurementBranch",
+    "apply_one_qubit_noisy",
+    "apply_two_qubit_noisy",
+    "bell_state",
+    "check_density_matrix",
+    "epp_oracle",
+    "es_oracle",
+    "expand_operator",
+    "fidelity_to_bell",
+    "map_deviations",
+    "measure_noisy",
+    "partial_trace",
+    "werner_state",
+})
+
+
+def __getattr__(name: str):
+    if name in _DMSIM_NAMES:
+        from . import dmsim
+
+        return getattr(dmsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BellKind",

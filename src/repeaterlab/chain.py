@@ -70,8 +70,10 @@ class ChainConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if self.c_es < 0.0 or self.c_epp < 0.0:
-            raise ValueError("latency multipliers c_es and c_epp must be >= 0")
+        for name in ("c_es", "c_epp"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def checkpoints(self) -> int:
@@ -261,12 +263,25 @@ def expected_attempts(
     return attempts
 
 
+def _fidelity_text(f: float) -> str:
+    """``f`` to 12 significant digits, or in full where rounding would move
+    it across ``DEGENERACY_THRESHOLD`` (which :func:`trace_from_csv` reads)."""
+    text = f"{f:.12g}"
+    if (float(text) <= DEGENERACY_THRESHOLD) != (f <= DEGENERACY_THRESHOLD):
+        return repr(f)
+    return text
+
+
 def trace_to_csv(trace: FidelityTrace) -> str:
-    """Render a trace as CSV with 12-significant-digit numeric columns."""
+    """Render a trace as CSV with 12-significant-digit numeric columns.
+
+    A fidelity within rounding of the degeneracy floor is written in full,
+    so the flag :func:`trace_from_csv` re-derives from it stays exact.
+    """
     lines = ["level,stage,fidelity,elapsed_seconds,pairs_consumed"]
     for s in trace.steps:
         lines.append(
-            f"{s.level},{s.stage},{s.fidelity:.12g},"
+            f"{s.level},{s.stage},{_fidelity_text(s.fidelity)},"
             f"{s.elapsed_seconds:.12g},{s.pairs_consumed}"
         )
     return "\n".join(lines) + "\n"
@@ -276,8 +291,9 @@ def trace_from_csv(text: str) -> FidelityTrace:
     """Inverse of :func:`trace_to_csv`.
 
     The degeneracy flag is not a CSV column; it is re-derived from the last
-    row, which is exact because simulation only ever stops early (or ends) on
-    a fidelity at or below the floor.
+    row, which is exact because simulation only ever stops early on a
+    fidelity at or below the floor, and :func:`trace_to_csv` never rounds a
+    fidelity across it.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != "level,stage,fidelity,elapsed_seconds,pairs_consumed":

@@ -7,7 +7,8 @@ pipeline contains no randomness, so identical configs produce byte-identical
 output — golden files are diffable.
 
 Exit codes: 0 success, 1 analysis-level failure (no valid purification
-range, oracle deviation, too few points to fit), 2 usage or config errors.
+range, oracle deviation, too few points to fit) or a stdout closed by its
+reader, 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chain import ChainConfig, resource_count, simulate_chain, trace_to_csv
-from .dmsim import map_deviations
 from .noise import LinkModel, MemoryModel
 from .rates import (
     InsufficientPointsError,
@@ -38,6 +37,7 @@ from .werner import (
     purify_noisy,
     purify_success_probability,
     swap_chain_fidelity,
+    validate_fidelity,
 )
 
 ORACLE_TOLERANCE = 1e-9
@@ -178,6 +178,11 @@ def load_run_config(path: str | None) -> RunConfig:
     )
     query_f = get("query", "f", float, 0.8)
     f_useful = get("rate", "f_useful", float, None)
+    if f_useful is not None:
+        try:
+            f_useful = validate_fidelity(f_useful, "f_useful")
+        except ValueError as exc:
+            raise ConfigError(f"section [rate]: {exc}") from None
     return RunConfig(chain, gates, memory, sweep, query_f, f_useful)
 
 
@@ -282,6 +287,11 @@ def cmd_rate_sweep(run: RunConfig, args) -> int:
 
 
 def cmd_oracle_check(run: RunConfig, args) -> int:
+    # The oracle is the only numpy user; other subcommands skip its import.
+    import numpy as np
+
+    from .dmsim import map_deviations
+
     fidelities = [float(f) for f in np.linspace(0.3, 1.0, 15)]
     triples = (
         (1.0, 1.0, 1.0),
@@ -340,7 +350,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = load_run_config(args.config)
-        return args.handler(run, args)
+        code = args.handler(run, args)
+        # Flush now, so a reader that closed the pipe is caught below rather
+        # than by the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early (``| head``).  Point stdout at devnull so the
+        # exit-time flush of the unsent output stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .chain import ChainConfig, resource_count, simulate_chain
+from .chain import ChainConfig, TraceStep, resource_count, simulate_chain
 from .noise import LinkModel, MemoryModel
 from .werner import GateNoiseParams, purification_fixed_points, werner_weight
 
@@ -87,6 +85,18 @@ class RepeaterRate(NamedTuple):
     final_fidelity: float
 
 
+def _rates_at(
+    end: TraceStep, degenerate: bool, pairs: int, f_useful: float
+) -> tuple[float, float]:
+    """Resource- and time-normalized rate of a chain whose trace ends at ``end``."""
+    s = 0.0 if degenerate else usefulness_weight(end.fidelity, f_useful)
+    if end.elapsed_seconds > 0.0:
+        rate_time = s / end.elapsed_seconds
+    else:
+        rate_time = math.inf if s > 0.0 else 0.0
+    return s / pairs, rate_time
+
+
 def repeater_rate(
     cfg: ChainConfig,
     g: GateNoiseParams,
@@ -104,14 +114,11 @@ def repeater_rate(
     if f_useful is None:
         f_useful = purification_fixed_points(g).f_min
     trace = simulate_chain(cfg, g, mem)
-    s = 0.0 if trace.degenerate else usefulness_weight(trace.final_fidelity, f_useful)
-    rate_resource = s / resource_count(cfg)
-    elapsed = trace.total_elapsed_seconds
-    if elapsed > 0.0:
-        rate_time = s / elapsed
-    else:
-        rate_time = math.inf if s > 0.0 else 0.0
-    return RepeaterRate(rate_resource, rate_time, trace.final_fidelity)
+    end = trace.steps[-1]
+    rate_resource, rate_time = _rates_at(
+        end, trace.degenerate, resource_count(cfg), f_useful
+    )
+    return RepeaterRate(rate_resource, rate_time, end.fidelity)
 
 
 @dataclass(frozen=True)
@@ -174,18 +181,20 @@ class ScalingFit:
     exponential_goodness: float
 
 
-def _linear_fit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _linear_fit_r2(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Least-squares slope of y on x and the R^2, clamped into [0, 1]."""
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = y - (slope * x + intercept)
-    ss_res = float(np.dot(residual, residual))
-    centered = y - float(np.mean(y))
-    ss_tot = float(np.dot(centered, centered))
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    ss_tot = math.fsum(b * b for b in dy)
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-24 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return float(slope), min(1.0, max(0.0, r2))
+    return slope, min(1.0, max(0.0, r2))
 
 
 def scaling_fit(
@@ -208,9 +217,9 @@ def scaling_fit(
             f"need >= 5 points for a scaling fit, got {len(points)}"
             + (f" in window {window}" if window is not None else "")
         )
-    d = np.array([p.distance_km for p in points])
-    log_rate = np.log(np.array([p.rate for p in points]))
-    poly_slope, poly_r2 = _linear_fit_r2(np.log(d), log_rate)
+    d = [p.distance_km for p in points]
+    log_rate = [math.log(p.rate) for p in points]
+    poly_slope, poly_r2 = _linear_fit_r2([math.log(v) for v in d], log_rate)
     expo_slope, expo_r2 = _linear_fit_r2(d, log_rate)
     degree = -poly_slope
     constant = -expo_slope
@@ -233,12 +242,28 @@ def sweep_rates(
     with ``mem``.  Repeater regimes yield one curve per metric; points whose
     rate is exactly zero (degenerate chains) are omitted, since a rate curve
     carries only positive rates.
+
+    Levels nest and a level's latency does not depend on the depth, so each
+    regime is simulated once, at the deepest depth, and a shallower chain's
+    run is the prefix of that trace up to the last step of its level.
     """
     if list(n_values) != sorted(set(n_values)):
         raise ValueError("n_values must be strictly increasing")
     if f_useful is None:
         f_useful = purification_fixed_points(g).f_min
-    no_mem = MemoryModel.none()
+    deepest = replace(cfg, n=max(n_values, default=0))
+    walks = []
+    for regime, regime_mem in (
+        ("repeater_ideal_memory", MemoryModel.none()),
+        ("repeater_noisy_memory", mem),
+    ):
+        trace = simulate_chain(deepest, g, regime_mem)
+        ends = {step.level: step for step in trace.steps}
+        # Every depth from the level where a trace degenerated on shares its
+        # truncated end.
+        last = trace.steps[-1]
+        stop = last.level if trace.degenerate else math.inf
+        walks.append((regime, ends, last, stop))
     direct_points = []
     repeater_points: dict[tuple[str, str], list[RatePoint]] = {
         ("repeater_ideal_memory", "resource_normalized"): [],
@@ -249,20 +274,15 @@ def sweep_rates(
     for n in n_values:
         cfg_n = replace(cfg, n=n)
         distance = cfg_n.total_distance_km
+        pairs = resource_count(cfg_n)
         direct_rate = direct_transmission_rate(distance, cfg.link)
         if direct_rate > 0.0 and math.isfinite(direct_rate):
             direct_points.append(
                 RatePoint(distance, direct_rate, "resource_normalized")
             )
-        for regime, regime_mem in (
-            ("repeater_ideal_memory", no_mem),
-            ("repeater_noisy_memory", mem),
-        ):
-            rr = repeater_rate(cfg_n, g, regime_mem, f_useful)
-            for metric, value in (
-                ("resource_normalized", rr.rate_resource),
-                ("time_normalized", rr.rate_time),
-            ):
+        for regime, ends, last, stop in walks:
+            values = _rates_at(ends.get(n, last), n >= stop, pairs, f_useful)
+            for metric, value in zip(METRICS, values):
                 if value > 0.0 and math.isfinite(value):
                     repeater_points[(regime, metric)].append(
                         RatePoint(distance, value, metric)

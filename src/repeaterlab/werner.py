@@ -178,68 +178,38 @@ class FixedPoints:
             )
 
 
-_SCAN_LO = MIXED_FIDELITY + 1e-6
-_SCAN_STEP = 1e-4
-_BISECT_WIDTH = 1e-12
-
-
-def _bisect(fn, lo: float, hi: float) -> float:
-    """Standard bisection on a bracketing interval, to width < 1e-12."""
-    flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo >= _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def purification_fixed_points(g: GateNoiseParams) -> FixedPoints:
-    """Locate the fixed points of ``purify_noisy(., g)`` above the mixed state.
+    """Fixed points of ``purify_noisy(., g)`` above the mixed state, in closed form.
 
-    A dense scan over (1/4, 1] brackets sign changes of the residual
-    ``purify_noisy(f) - f``; each bracket is narrowed by bisection.  Perfect
-    gates give exactly (0.5, 1.0).  Raises :class:`NoValidRangeError` when
-    the residual is negative everywhere (purification never helps), and
-    reports ``marginal=True`` if the two roots have collapsed into one.
+    The residual ``num(f) - f*den(f)`` of :func:`purify_noisy` is a cubic
+    with a root at ``f = 1/4``; dividing it out leaves
+
+        A f^2 - (1 + A) f + (1 + 9*pi) = 0,    A = 2 - 4a = 2 (2 eta - 1)^2,
+
+    with ``a = 2 eta (1 - eta)`` and ``pi = (1 - p2^2)/(8 p2^2)``; ``p1``
+    does not enter.  Purification gains exactly between its two roots.  Both
+    roots exceed 1/4 (the quadratic is positive there and its vertex is at
+    ``f >= 3/4``); they come from the cancellation-safe form of the quadratic
+    formula, and a root past 1 by at most ``FIDELITY_TOL`` is clamped to 1.
+    Perfect gates give exactly (0.5, 1.0).  Raises :class:`NoValidRangeError`
+    when the discriminant is negative or no root is left in (1/4, 1]
+    (purification never helps), and reports ``marginal=True`` if the roots
+    lie within 1e-9 of each other or only one is in range.
     """
-
-    def residual(f: float) -> float:
-        return purify_noisy(f, g) - f
-
-    grid = [_SCAN_LO + i * _SCAN_STEP for i in range(int((1.0 - _SCAN_LO) / _SCAN_STEP) + 1)]
-    if grid[-1] < 1.0:
-        grid.append(1.0)
-
-    roots: list[float] = []
-    vals = [residual(x) for x in grid]
-    for (x0, r0), (x1, r1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if r0 == 0.0:
-            roots.append(x0)
-        elif (r0 < 0.0) != (r1 < 0.0):
-            roots.append(_bisect(residual, x0, x1))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-
-    # Drop anything that bisected back onto the trivial fixed point at 1/4.
-    roots = sorted(r for r in roots if r > MIXED_FIDELITY + 1e-9)
-
-    if len(roots) >= 2:
-        lo, hi = roots[0], roots[-1]
-        return FixedPoints(lo, hi, marginal=(hi - lo) < 1e-9)
-    if len(roots) == 1:
-        # Tangency, or a root sitting exactly on the upper boundary.
-        return FixedPoints(roots[0], roots[0], marginal=True)
-
-    peak = max(vals)
-    if peak > 0.0:  # pragma: no cover - scan step is far finer than any real gap
-        raise RuntimeError("bracketing failed despite positive residual; narrow the scan step")
+    lead = 2.0 * (2.0 * g.eta - 1.0) ** 2  # A
+    pi = (1.0 - g.p2 * g.p2) / (8.0 * g.p2 * g.p2)
+    # (1 + A)^2 - 4 A (1 + 9 pi), rearranged so that nothing cancels at p2 = 1.
+    disc = (lead - 1.0) ** 2 - 36.0 * pi * lead
+    if disc >= 0.0:
+        q = 0.5 * (1.0 + lead + math.sqrt(disc))
+        roots = [
+            min(r, 1.0)
+            for r in ((1.0 + 9.0 * pi) / q, q / lead)
+            if r <= 1.0 + FIDELITY_TOL
+        ]
+        if roots:
+            lo, hi = roots[0], roots[-1]
+            return FixedPoints(lo, hi, marginal=(hi - lo) < 1e-9)
     raise NoValidRangeError(
         f"purification loses fidelity everywhere in (1/4, 1] for gates {g!r}"
     )

@@ -63,8 +63,11 @@ def test_chain_config_validation():
         ChainConfig(l=2.0, n=2, link=LINK)
     with pytest.raises(TypeError):
         ChainConfig(l=True, n=2, link=LINK)
-    with pytest.raises(ValueError):
-        ChainConfig(l=2, n=2, link=LINK, c_es=-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ChainConfig(l=2, n=2, link=LINK, c_es=bad)
+        with pytest.raises(ValueError):
+            ChainConfig(l=2, n=2, link=LINK, c_epp=bad)
     cfg = ChainConfig(l=3, n=2, link=LINK)
     assert cfg.checkpoints == 9
     assert cfg.total_distance_km == pytest.approx(225.0)
@@ -271,6 +274,22 @@ def test_trace_csv_round_trip():
     assert trace_to_csv(parsed) == text
     assert parsed.degenerate == trace.degenerate
     assert len(parsed.steps) == len(trace.steps)
+
+
+def test_trace_csv_keeps_a_fidelity_just_above_the_floor():
+    # This chain ends 1.2e-12 above 1/4, a hair above DEGENERACY_THRESHOLD;
+    # at 12 digits it would print as 0.250000000001 and read back as
+    # degenerate.
+    link = LinkModel(d_km=22.588694, f0=0.935041)
+    cfg = ChainConfig(l=3, n=4, link=link, epp_rounds_per_level=0)
+    trace = simulate_chain(cfg, GateNoiseParams(0.978733, 0.872272, 0.976441),
+                           MemoryModel.exponential(0.122675))
+    assert not trace.degenerate
+    assert trace.final_fidelity < 0.25 + 2e-12
+    parsed = trace_from_csv(trace_to_csv(trace))
+    assert not parsed.degenerate
+    assert parsed.final_fidelity == trace.final_fidelity
+    assert trace_to_csv(parsed) == trace_to_csv(trace)
 
 
 def test_trace_csv_rejects_malformed_input():

@@ -1,6 +1,10 @@
 """End-to-end command-line behaviour, exit codes, output stability."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +288,44 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["7", "nan", "-0.1", "inf"])
+def test_f_useful_outside_unit_interval_is_a_config_error(capsys, tmp_path,
+                                                          value):
+    cfg = write(tmp_path, "fu.ini", BASELINE_INI + f"\n[rate]\nf_useful = {value}\n")
+    code, out, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
+                             str(tmp_path / "rates.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: section [rate]")
+
+
+def test_non_finite_latency_multiplier_is_a_config_error(capsys, tmp_path):
+    cfg = write(tmp_path, "nan.ini", "[chain]\nc_es = nan\n")
+    code, out, err = run_cli(capsys, "trace", "--config", cfg, "--out",
+                             str(tmp_path / "t.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: section [chain]")
+
+
+def test_reader_closing_the_pipe_early_is_not_a_traceback(tmp_path):
+    # As in `repeaterlab rate-sweep ... | head -1`: the reader is gone by the
+    # time the report is written.
+    cfg = write(tmp_path, "base.ini", BASELINE_INI)
+    src = Path(repeaterlab.werner.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repeaterlab.cli", "rate-sweep", "--config",
+             cfg, "--out", str(tmp_path / "rates.csv")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

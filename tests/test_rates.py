@@ -1,11 +1,17 @@
 """Rate curves, threshold location, scaling classification."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repeaterlab
 from repeaterlab import (
     ChainConfig,
     GateNoiseParams,
@@ -18,6 +24,7 @@ from repeaterlab import (
     curves_from_csv,
     curves_to_csv,
     direct_transmission_rate,
+    purification_fixed_points,
     repeater_rate,
     scaling_fit,
     sweep_rates,
@@ -228,3 +235,121 @@ def test_curves_csv_round_trip():
         curves_from_csv("bad,header,row\n")
     with pytest.raises(ValueError):
         curves_from_csv("distance_km,rate,metric,regime\n1,2,3\n")
+
+
+@pytest.mark.parametrize(
+    "cfg, g, mem, n_values",
+    [
+        # perfect memory, purification every level, depth 0 included
+        (ChainConfig(l=2, n=1, link=LinkModel(), epp_rounds_per_level=1),
+         BASELINE, MemoryModel.none(), [0, 1, 2, 3, 5, 8]),
+        # lossy memory that takes the pair to exactly 1/4 at depth 8
+        (ChainConfig(l=2, n=1, link=LinkModel(d_km=25.0, f0=0.96,
+                                              c_signal_km_s=3e5),
+                     epp_rounds_per_level=0),
+         BASELINE, MemoryModel.exponential(5e-3), list(range(0, 9))),
+        # degenerates at level 4 only 9e-14 above 1/4, where the usefulness
+        # weight is still positive: depths 4 and up must still read 0
+        (ChainConfig(l=2, n=1, link=LinkModel(d_km=40.5, f0=0.85),
+                     epp_rounds_per_level=1),
+         GateNoiseParams(p1=0.972, p2=0.986, eta=0.961),
+         MemoryModel.exponential(0.001987), list(range(0, 8))),
+        # three-way merges, two purification rounds, sparse depths
+        (ChainConfig(l=3, n=1, link=LinkModel(d_km=40.0, f0=0.98), m=3,
+                     epp_rounds_per_level=2),
+         BASELINE, MemoryModel.exponential(2e-2), [0, 2, 4, 5]),
+    ],
+)
+def test_sweep_rates_equals_per_depth_repeater_rate(cfg, g, mem, n_values):
+    # sweep_rates walks each regime's chain once at the deepest depth; every
+    # point must equal what a separate run at its own depth gives, exactly.
+    f_min = purification_fixed_points(g).f_min
+    curves = sweep_rates(cfg, g, mem, n_values, f_min)
+    expected = {key: [] for key in (
+        ("repeater_ideal_memory", "resource_normalized"),
+        ("repeater_ideal_memory", "time_normalized"),
+        ("repeater_noisy_memory", "resource_normalized"),
+        ("repeater_noisy_memory", "time_normalized"),
+    )}
+    for n in n_values:
+        cfg_n = replace(cfg, n=n)
+        for regime, regime_mem in (
+            ("repeater_ideal_memory", MemoryModel.none()),
+            ("repeater_noisy_memory", mem),
+        ):
+            rr = repeater_rate(cfg_n, g, regime_mem, f_min)
+            for metric, value in (
+                ("resource_normalized", rr.rate_resource),
+                ("time_normalized", rr.rate_time),
+            ):
+                if value > 0.0 and math.isfinite(value):
+                    expected[(regime, metric)].append(
+                        (cfg_n.total_distance_km, value, metric)
+                    )
+    got = [
+        [(p.distance_km, p.rate, p.metric) for p in c.points] for c in curves[1:]
+    ]
+    assert got == list(expected.values())
+    if mem.mode == "exponential" and cfg.l == 2:
+        # these cases lose their deepest points to degeneracy mid-sweep
+        assert 0 < len(got[2]) < len(n_values)
+
+
+def test_sweep_rates_with_no_depths():
+    cfg = ChainConfig(l=2, n=3, link=LinkModel())
+    curves = sweep_rates(cfg, BASELINE, MemoryModel.none(), [])
+    assert len(curves) == 5
+    assert all(c.points == () for c in curves)
+
+
+def _polyfit_r2(x, y):
+    # The former numpy implementation, kept as the reference.
+    x, y = np.asarray(x), np.asarray(y)
+    slope, intercept = np.polyfit(x, y, 1)
+    residual = y - (slope * x + intercept)
+    ss_res = float(np.dot(residual, residual))
+    centered = y - float(np.mean(y))
+    ss_tot = float(np.dot(centered, centered))
+    return float(slope), min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+
+
+def test_scaling_fit_matches_numpy_polyfit():
+    link = LinkModel(d_km=25.0, f0=0.96, c_signal_km_s=3e5)
+    cfg = ChainConfig(l=2, n=1, link=link, epp_rounds_per_level=0)
+    curves = sweep_rates(cfg, BASELINE, MemoryModel.exponential(5e-3),
+                         list(range(1, 12)))
+    rng = random.Random(3)
+    curves.append(curve_from_fn(lambda d: d**-1.7 * rng.uniform(0.5, 2.0),
+                                [30.0 * 1.6**k for k in range(9)]))
+    curves.append(curve_from_fn(lambda d: math.exp(-d / 80.0) * rng.uniform(0.8, 1.2),
+                                [15.0 * k for k in range(1, 14)]))
+    fitted = 0
+    for curve in curves:
+        if len(curve.points) < 5:
+            continue
+        fit = scaling_fit(curve)
+        d = [p.distance_km for p in curve.points]
+        y = [math.log(p.rate) for p in curve.points]
+        poly_slope, poly_r2 = _polyfit_r2([math.log(v) for v in d], y)
+        expo_slope, expo_r2 = _polyfit_r2(d, y)
+        assert fit.polynomial_degree == pytest.approx(-poly_slope, rel=1e-12)
+        assert fit.polynomial_goodness == pytest.approx(poly_r2, rel=1e-12)
+        assert fit.exponential_constant_per_km == pytest.approx(-expo_slope,
+                                                                rel=1e-12)
+        assert fit.exponential_goodness == pytest.approx(expo_r2, rel=1e-12)
+        fitted += 1
+    assert fitted >= 5
+
+
+def test_scalar_modules_do_not_import_numpy():
+    code = (
+        "import sys, repeaterlab, repeaterlab.werner, repeaterlab.noise, "
+        "repeaterlab.chain, repeaterlab.rates, repeaterlab.cli; "
+        "print('numpy' in sys.modules)"
+    )
+    src = Path(repeaterlab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"

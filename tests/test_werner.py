@@ -37,6 +37,10 @@ def hp_purify_ideal(f):
 
 
 def hp_purify_noisy(f, g):
+    return float(hp_purify_noisy_mp(f, g))
+
+
+def hp_purify_noisy_mp(f, g):
     F, p2, eta = mpf(f), mpf(g.p2), mpf(g.eta)
     Fb = (1 - F) / 3
     etab = 1 - eta
@@ -45,9 +49,8 @@ def hp_purify_noisy(f, g):
     pi_ = (1 - p2**2) / (8 * p2**2)
     phi = F**2 + Fb**2
     lam = F**2 + 2 * F * Fb + 5 * Fb**2
-    return float(
-        (theta * phi + 2 * eta * etab * xi + pi_)
-        / (theta * lam + 4 * (2 * eta * etab * xi + pi_))
+    return (theta * phi + 2 * eta * etab * xi + pi_) / (
+        theta * lam + 4 * (2 * eta * etab * xi + pi_)
     )
 
 
@@ -201,9 +204,34 @@ def test_swap_chain_validates_segments():
 
 def test_fixed_points_ideal():
     fp = purification_fixed_points(GateNoiseParams.ideal())
-    assert abs(fp.f_min - 0.5) <= 1e-12
+    assert abs(fp.f_min - 0.5) <= 1e-15
     assert abs(fp.f_max - 1.0) <= 1e-12
     assert not fp.marginal
+
+
+@pytest.mark.parametrize("eta", [0.51, 0.7, 0.85])
+def test_fixed_points_perfect_two_qubit_gates_pin_the_top(eta):
+    # With p2 = 1 the quadratic's other root 1/(2 - 4a) lies above 1, so
+    # only the pure state is left and the interval closes onto it.
+    fp = purification_fixed_points(GateNoiseParams(p1=1.0, p2=1.0, eta=eta))
+    assert (fp.f_min, fp.f_max, fp.marginal) == (1.0, 1.0, True)
+
+
+def test_fixed_points_are_roots_of_the_full_residual():
+    # The closed form drops the trivial root 1/4 from the cubic residual;
+    # its roots must still zero the undivided map at 50 digits.
+    for g in (
+        GateNoiseParams.ideal(),
+        GateNoiseParams(p1=0.99, p2=0.99, eta=0.99),
+        GateNoiseParams(p1=0.95, p2=0.985, eta=0.99),
+        BASELINE,
+    ):
+        fp = purification_fixed_points(g)
+        for root in (fp.f_min, fp.f_max):
+            exact = mp.findroot(
+                lambda f: hp_purify_noisy_mp(f, g) - f, mpf(root)
+            )
+            assert abs(root - float(exact)) <= 1e-14
 
 
 def test_fixed_points_baseline_frozen():
@@ -260,5 +288,6 @@ def test_fixed_points_gain_only_inside_interval():
 
 
 def test_no_valid_range_for_strong_noise():
-    with pytest.raises(NoValidRangeError):
-        purification_fixed_points(GateNoiseParams(p1=1.0, p2=0.9, eta=0.9))
+    for triple in ((1.0, 0.9, 0.9), (1.0, 0.94, 1.0)):
+        with pytest.raises(NoValidRangeError):
+            purification_fixed_points(GateNoiseParams(*triple))
