@@ -23,15 +23,12 @@ from .noise import (
     memory_decay,
 )
 from .werner import (
+    DEGENERACY_THRESHOLD,
     GateNoiseParams,
     purify_noisy,
     purify_success_probability,
     swap_chain_fidelity,
 )
-
-#: Below this the pair is indistinguishable from white noise and every map
-#: stops being informative; traces are truncated here rather than continued.
-DEGENERACY_THRESHOLD = 0.25 + 1e-12
 
 _INT64_MAX = 2**63 - 1
 
@@ -162,51 +159,49 @@ class FidelityTrace:
         return self.steps[-1].pairs_consumed
 
 
+def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
+    """Yield every stage of the protocol as ``TraceStep`` field tuples.
+
+    Per level, in order: the swap update over ``l`` segments, memory decay
+    over the level's full latency (time advances even when the memory is
+    perfect), then each purification round.  Pair accounting is cumulative:
+    a swap multiplies consumption by ``l``, each purification round by ``m``.
+    The walk never stops early; callers decide what degeneracy means.
+    """
+    f = cfg.link.f0
+    elapsed = 0.0
+    pairs = 1
+    yield 0, "init", f, elapsed, pairs
+    for x in range(1, cfg.n + 1):
+        f = swap_chain_fidelity(f, cfg.l, g)
+        pairs *= cfg.l
+        yield x, "after_es", f, elapsed, pairs
+        dt = round_time(x, cfg)
+        f = memory_decay(f, dt, mem)
+        elapsed += dt
+        yield x, "after_memory", f, elapsed, pairs
+        for _ in range(cfg.epp_rounds_per_level):
+            f = purify_noisy(f, g)
+            pairs *= cfg.m
+            yield x, "after_epp", f, elapsed, pairs
+
+
 def simulate_chain(
     cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel
 ) -> FidelityTrace:
     """Run the analytic protocol and record every stage.
 
-    Per level, in order: the swap update over ``l`` segments, memory decay
-    over the level's full latency (time advances even when the memory is
-    perfect), then each purification round.  Pair accounting is cumulative:
-    a swap multiplies consumption by ``l``, each purification round by ``m``,
-    so the final count equals :func:`resource_count`.
-
-    If the fidelity ever falls to the fully mixed floor the trace stops there
-    with ``degenerate=True``.
+    The stages are those of the protocol walk, in order; the final pair
+    count equals :func:`resource_count`.  If the fidelity ever falls to the
+    fully mixed floor the trace stops there with ``degenerate=True``.
     """
-    f = cfg.link.f0
-    elapsed = 0.0
-    pairs = 1
-    steps = [TraceStep(0, "init", f, elapsed, pairs)]
-    degenerate = False
-    for x in range(1, cfg.n + 1):
-        f = swap_chain_fidelity(f, cfg.l, g)
-        pairs *= cfg.l
-        steps.append(TraceStep(x, "after_es", f, elapsed, pairs))
-        if f <= DEGENERACY_THRESHOLD:
-            degenerate = True
-            break
-
-        dt = round_time(x, cfg)
-        f = memory_decay(f, dt, mem)
-        elapsed += dt
-        steps.append(TraceStep(x, "after_memory", f, elapsed, pairs))
-        if f <= DEGENERACY_THRESHOLD:
-            degenerate = True
-            break
-
-        for _ in range(cfg.epp_rounds_per_level):
-            f = purify_noisy(f, g)
-            pairs *= cfg.m
-            steps.append(TraceStep(x, "after_epp", f, elapsed, pairs))
-            if f <= DEGENERACY_THRESHOLD:
-                degenerate = True
-                break
-        if degenerate:
-            break
-    return FidelityTrace(tuple(steps), degenerate)
+    steps = []
+    for row in _walk(cfg, g, mem):
+        step = TraceStep(*row)
+        steps.append(step)
+        if step.fidelity <= DEGENERACY_THRESHOLD:
+            return FidelityTrace(tuple(steps), True)
+    return FidelityTrace(tuple(steps))
 
 
 def resource_count(cfg: ChainConfig) -> int:
@@ -250,16 +245,14 @@ def expected_attempts(
     terminates; it measures the cost of finishing the protocol, not of
     producing something worth keeping.
     """
-    p_link = link_success_probability(cfg.link.d_km, cfg.link)
-    attempts = 1.0 / p_link
+    attempts = 1.0 / link_success_probability(cfg.link.d_km, cfg.link)
     f = cfg.link.f0
-    for x in range(1, cfg.n + 1):
-        f = swap_chain_fidelity(f, cfg.l, g)
-        attempts *= cfg.l
-        f = memory_decay(f, round_time(x, cfg), mem)
-        for _ in range(cfg.epp_rounds_per_level):
+    for _, stage, f_next, _, _ in _walk(cfg, g, mem):
+        if stage == "after_es":
+            attempts *= cfg.l
+        elif stage == "after_epp":
             attempts *= cfg.m / purify_success_probability(f, g)
-            f = purify_noisy(f, g)
+        f = f_next
     return attempts
 
 

@@ -7,8 +7,8 @@ pipeline contains no randomness, so identical configs produce byte-identical
 output — golden files are diffable.
 
 Exit codes: 0 success, 1 analysis-level failure (no valid purification
-range, oracle deviation, too few points to fit) or a stdout closed by its
-reader, 2 usage or config errors.
+range, oracle deviation, too few points to fit, a pair count past 64 bits)
+or a stdout closed by its reader, 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .chain import ChainConfig, resource_count, simulate_chain, trace_to_csv
 from .noise import LinkModel, MemoryModel
 from .rates import (
+    CURVES,
     InsufficientPointsError,
     RateCurve,
     curves_to_csv,
@@ -42,14 +43,18 @@ from .werner import (
 
 ORACLE_TOLERANCE = 1e-9
 
+#: Every config key and the type its value converts to.  Keys left out fall
+#: back to the defaults of the object their section builds.
 _SECTION_KEYS = {
-    "chain": ("l", "n", "m", "epp_rounds_per_level", "c_es", "c_epp"),
-    "link": ("d_km", "f0", "alpha_db_per_km", "c_signal_km_s"),
-    "gates": ("p1", "p2", "eta"),
-    "memory": ("mode", "tau_s"),
-    "sweep": ("parameter", "start", "stop", "step"),
-    "rate": ("f_useful",),
-    "query": ("f",),
+    "chain": {"l": int, "n": int, "m": int, "epp_rounds_per_level": int,
+              "c_es": float, "c_epp": float},
+    "link": {"d_km": float, "f0": float, "alpha_db_per_km": float,
+             "c_signal_km_s": float},
+    "gates": {"p1": float, "p2": float, "eta": float},
+    "memory": {"mode": str, "tau_s": float},
+    "sweep": {"parameter": str, "start": int, "stop": int, "step": int},
+    "rate": {"f_useful": float},
+    "query": {"f": float},
 }
 
 
@@ -111,73 +116,53 @@ def load_run_config(path: str | None) -> RunConfig:
     if path is not None:
         if not cp.read(path):
             raise ConfigError(f"config file not found or unreadable: {path}")
-    for section in cp.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"section [{section}]: unknown key '{key}'")
+    for name in cp.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        for key in cp[name]:
+            if key not in _SECTION_KEYS[name]:
+                raise ConfigError(f"section [{name}]: unknown key '{key}'")
 
-    def get(section: str, key: str, kind, default):
-        if cp.has_option(section, key):
-            return _convert(cp.get(section, key), section, key, kind)
-        return default
+    def section(name: str) -> dict:
+        """The keys set in section ``name``, converted to their types."""
+        if not cp.has_section(name):
+            return {}
+        values = cp[name]
+        return {
+            key: _convert(values[key], name, key, kind)
+            for key, kind in _SECTION_KEYS[name].items()
+            if key in values
+        }
 
     try:
-        link = LinkModel(
-            d_km=get("link", "d_km", float, 25.0),
-            f0=get("link", "f0", float, 0.96),
-            alpha_db_per_km=get("link", "alpha_db_per_km", float, 0.2),
-            c_signal_km_s=get("link", "c_signal_km_s", float, 2e5),
-        )
+        link = LinkModel(**section("link"))
     except ValueError as exc:
         raise ConfigError(f"section [link]: {exc}") from None
     try:
-        gates = GateNoiseParams(
-            p1=get("gates", "p1", float, 1.0),
-            p2=get("gates", "p2", float, 1.0),
-            eta=get("gates", "eta", float, 1.0),
-        )
+        gates = GateNoiseParams(**section("gates"))
     except ValueError as exc:
         raise ConfigError(f"section [gates]: {exc}") from None
 
-    mode = get("memory", "mode", str, "none")
-    tau_s = get("memory", "tau_s", float, None)
+    memory_keys = section("memory")
     try:
-        if mode == "none":
-            if tau_s is not None:
-                raise ValueError("tau_s only applies to mode=exponential")
-            memory = MemoryModel.none()
-        elif mode == "exponential":
-            if tau_s is None:
-                raise ValueError("mode=exponential requires tau_s")
-            memory = MemoryModel.exponential(tau_s)
-        else:
-            raise ValueError(f"mode must be 'none' or 'exponential', got {mode!r}")
+        mode = memory_keys.get("mode", MemoryModel.mode)
+        if mode == "none" and "tau_s" in memory_keys:
+            raise ValueError("tau_s only applies to mode=exponential")
+        if mode == "exponential" and "tau_s" not in memory_keys:
+            raise ValueError("mode=exponential requires tau_s")
+        memory = MemoryModel(**memory_keys)
     except ValueError as exc:
         raise ConfigError(f"section [memory]: {exc}") from None
 
     try:
-        chain = ChainConfig(
-            l=get("chain", "l", int, 2),
-            n=get("chain", "n", int, 3),
-            link=link,
-            m=get("chain", "m", int, 2),
-            epp_rounds_per_level=get("chain", "epp_rounds_per_level", int, 1),
-            c_es=get("chain", "c_es", float, 1.0),
-            c_epp=get("chain", "c_epp", float, 2.0),
-        )
+        # ChainConfig has no defaults for the chain's shape.
+        chain = ChainConfig(**{"l": 2, "n": 3, **section("chain")}, link=link)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"section [chain]: {exc}") from None
 
-    sweep = SweepSpec(
-        parameter=get("sweep", "parameter", str, "n"),
-        start=get("sweep", "start", int, 1),
-        stop=get("sweep", "stop", int, 8),
-        step=get("sweep", "step", int, 1),
-    )
-    query_f = get("query", "f", float, 0.8)
-    f_useful = get("rate", "f_useful", float, None)
+    sweep = SweepSpec(**section("sweep"))
+    query_f = section("query").get("f", RunConfig.query_f)
+    f_useful = section("rate").get("f_useful")
     if f_useful is not None:
         try:
             f_useful = validate_fidelity(f_useful, "f_useful")
@@ -213,12 +198,13 @@ def cmd_swap(run: RunConfig, args) -> int:
 
 def cmd_trace(run: RunConfig, args) -> int:
     out = _require_out(args)
+    pairs = resource_count(run.chain)  # fails before any output if it overflows
     trace = simulate_chain(run.chain, run.gates, run.memory)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(trace_to_csv(trace))
     print(f"final_fidelity={_fmt(trace.final_fidelity)}")
     print(f"total_elapsed_seconds={_fmt(trace.total_elapsed_seconds)}")
-    print(f"resource_count={resource_count(run.chain)}")
+    print(f"resource_count={pairs}")
     if trace.degenerate:
         print("degenerate=true")
     return 0
@@ -247,16 +233,9 @@ def cmd_rate_sweep(run: RunConfig, args) -> int:
     # Fit beyond the small-n transient: only distances above four elementary
     # links enter the polynomial/exponential discrimination.
     cut = 4.0 * run.chain.link.d_km
-    expected = (
-        ("direct", "resource_normalized"),
-        ("repeater_ideal_memory", "resource_normalized"),
-        ("repeater_ideal_memory", "time_normalized"),
-        ("repeater_noisy_memory", "resource_normalized"),
-        ("repeater_noisy_memory", "time_normalized"),
-    )
     fits = []
     failures = []
-    for curve, (regime, metric) in zip(curves, expected):
+    for curve, (regime, metric) in zip(curves, CURVES):
         tail = RateCurve(
             curve.regime, tuple(p for p in curve.points if p.distance_km > cut)
         )
@@ -270,17 +249,10 @@ def cmd_rate_sweep(run: RunConfig, args) -> int:
             f"parameter={_fmt(fit.parameter)} goodness={_fmt(fit.goodness)}"
         )
     for regime, metric, fit in fits:
-        prefix = f"{regime}.{metric}"
-        print(f"{prefix}.kind={fit.kind}")
-        print(f"{prefix}.parameter={_fmt(fit.parameter)}")
-        print(f"{prefix}.goodness={_fmt(fit.goodness)}")
-        print(f"{prefix}.polynomial_degree={_fmt(fit.polynomial_degree)}")
-        print(f"{prefix}.polynomial_goodness={_fmt(fit.polynomial_goodness)}")
-        print(
-            f"{prefix}.exponential_constant_per_km="
-            f"{_fmt(fit.exponential_constant_per_km)}"
-        )
-        print(f"{prefix}.exponential_goodness={_fmt(fit.exponential_goodness)}")
+        for field in fields(fit):
+            value = getattr(fit, field.name)
+            text = value if isinstance(value, str) else _fmt(value)
+            print(f"{regime}.{metric}.{field.name}={text}")
     for regime, metric, message in failures:
         print(f"InsufficientPoints regime={regime} metric={metric}: {message}")
     return 1 if failures else 0
@@ -332,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI-style config file")
     common.add_argument("--out", metavar="PATH", help="output CSV path")
-    common.add_argument("--format", choices=("csv",), default="csv",
-                        help="output format (only csv)")
     parser = argparse.ArgumentParser(
         prog="repeaterlab",
         description="Analytic repeater-chain toolkit: fidelity maps, chain "
@@ -370,6 +340,9 @@ def main(argv=None) -> int:
         return 1
     except InsufficientPointsError as exc:
         print(f"InsufficientPoints: {exc}")
+        return 1
+    except OverflowError as exc:
+        print(f"Overflow: {exc}")
         return 1
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .werner import MIXED_FIDELITY, validate_fidelity
+from .werner import DEGENERACY_THRESHOLD, MIXED_FIDELITY, validate_fidelity
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class LinkModel:
             raise ValueError(
                 f"c_signal_km_s must be positive, got {self.c_signal_km_s!r}"
             )
-        f0 = validate_fidelity(self.f0, "f0")
-        if f0 <= MIXED_FIDELITY:
-            raise ValueError(f"f0 must exceed 1/4, got {self.f0!r}")
+        # At or below the degeneracy floor the chain would stop before it starts.
+        if validate_fidelity(self.f0, "f0") <= DEGENERACY_THRESHOLD:
+            raise ValueError(f"f0 must exceed 1/4 + 1e-12, got {self.f0!r}")
 
 
 @dataclass(frozen=True)

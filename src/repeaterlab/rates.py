@@ -13,10 +13,19 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .chain import ChainConfig, TraceStep, resource_count, simulate_chain
-from .noise import LinkModel, MemoryModel
+from .noise import MemoryModel, link_success_probability
 from .werner import GateNoiseParams, purification_fixed_points, werner_weight
 
 METRICS = ("resource_normalized", "time_normalized")
+
+#: The ``(regime, metric)`` of each curve :func:`sweep_rates` returns, in order.
+CURVES = (
+    ("direct", "resource_normalized"),
+    ("repeater_ideal_memory", "resource_normalized"),
+    ("repeater_ideal_memory", "time_normalized"),
+    ("repeater_noisy_memory", "resource_normalized"),
+    ("repeater_noisy_memory", "time_normalized"),
+)
 
 
 class InsufficientPointsError(ValueError):
@@ -59,11 +68,8 @@ class RateCurve:
         return tuple(p.rate for p in self.points)
 
 
-def direct_transmission_rate(distance_km: float, link: LinkModel) -> float:
-    """Per-attempt success probability of sending one photon the whole way."""
-    if distance_km < 0.0:
-        raise ValueError(f"distance must be >= 0, got {distance_km!r}")
-    return 10.0 ** (-link.alpha_db_per_km * distance_km / 10.0)
+#: Per-attempt success probability of sending one photon the whole way.
+direct_transmission_rate = link_success_probability
 
 
 def usefulness_weight(f: float, f_useful: float) -> float:
@@ -264,33 +270,22 @@ def sweep_rates(
         last = trace.steps[-1]
         stop = last.level if trace.degenerate else math.inf
         walks.append((regime, ends, last, stop))
-    direct_points = []
-    repeater_points: dict[tuple[str, str], list[RatePoint]] = {
-        ("repeater_ideal_memory", "resource_normalized"): [],
-        ("repeater_ideal_memory", "time_normalized"): [],
-        ("repeater_noisy_memory", "resource_normalized"): [],
-        ("repeater_noisy_memory", "time_normalized"): [],
-    }
+    points: dict[tuple[str, str], list[RatePoint]] = {key: [] for key in CURVES}
     for n in n_values:
         cfg_n = replace(cfg, n=n)
         distance = cfg_n.total_distance_km
         pairs = resource_count(cfg_n)
         direct_rate = direct_transmission_rate(distance, cfg.link)
-        if direct_rate > 0.0 and math.isfinite(direct_rate):
-            direct_points.append(
+        if direct_rate > 0.0:
+            points["direct", "resource_normalized"].append(
                 RatePoint(distance, direct_rate, "resource_normalized")
             )
         for regime, ends, last, stop in walks:
             values = _rates_at(ends.get(n, last), n >= stop, pairs, f_useful)
             for metric, value in zip(METRICS, values):
                 if value > 0.0 and math.isfinite(value):
-                    repeater_points[(regime, metric)].append(
-                        RatePoint(distance, value, metric)
-                    )
-    curves = [RateCurve("direct", tuple(direct_points))]
-    for (regime, _metric), pts in repeater_points.items():
-        curves.append(RateCurve(regime, tuple(pts)))
-    return curves
+                    points[(regime, metric)].append(RatePoint(distance, value, metric))
+    return [RateCurve(regime, tuple(pts)) for (regime, _), pts in points.items()]
 
 
 def curves_to_csv(curves: Sequence[RateCurve]) -> str:

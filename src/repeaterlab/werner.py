@@ -9,12 +9,17 @@ number; the density-matrix reference circuits live in :mod:`repeaterlab.dmsim`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 FIDELITY_TOL = 1e-12
 
 # Fully mixed two-qubit state: fidelity 1/4 to every Bell state.
 MIXED_FIDELITY = 0.25
+
+#: Below this the pair is indistinguishable from white noise and every map
+#: stops being informative; chain traces are truncated here.
+DEGENERACY_THRESHOLD = MIXED_FIDELITY + 1e-12
 
 
 class NoValidRangeError(ValueError):
@@ -58,6 +63,9 @@ class GateNoiseParams:
                 raise ValueError(f"{name} must lie in (0, 1], got {v!r}")
         if self.eta <= 0.5:
             raise ValueError(f"eta must exceed 0.5, got {self.eta!r}")
+        # Purification divides by p2^2; below this it leaves the normal floats.
+        if self.p2 * self.p2 < sys.float_info.min:
+            raise ValueError(f"p2 must be at least 1.5e-154, got {self.p2!r}")
 
     @classmethod
     def ideal(cls) -> "GateNoiseParams":
@@ -78,51 +86,20 @@ def fidelity_from_weight(w: float) -> float:
     return (1.0 + 3.0 * w) / 4.0
 
 
-def purify_ideal(f: float) -> float:
-    """One round of the two-pair recurrence with perfect gates.
-
-    Both input pairs carry fidelity ``f``; the kept pair, conditioned on
-    coincident check outcomes, has fidelity ``(f^2 + fb^2) / (f^2 + 2 f fb +
-    5 fb^2)`` with ``fb = (1 - f)/3``.
-    """
-    f = validate_fidelity(f)
-    fb = (1.0 - f) / 3.0
-    phi = f * f + fb * fb
-    lam = f * f + 2.0 * f * fb + 5.0 * fb * fb
-    return phi / lam
-
-
-def purify_success_probability(f: float, g: GateNoiseParams | None = None) -> float:
-    """Probability the coincidence check passes for two fidelity-``f`` inputs.
-
-    With perfect gates this is the classic ``f^2 + 2 f fb + 5 fb^2``.  Noisy
-    two-qubit gates and misreporting measurements add their own pass/fail
-    branches; one-qubit reliability never enters (the circuit uses none).
-    """
-    f = validate_fidelity(f)
-    fb = (1.0 - f) / 3.0
-    lam = f * f + 2.0 * f * fb + 5.0 * fb * fb
-    if g is None or g.is_ideal:
-        return lam
-    eta, p2 = g.eta, g.p2
-    etab = 1.0 - eta
-    theta = eta * eta + etab * etab
-    xi = f * fb + fb * fb
-    pi = (1.0 - p2 * p2) / (8.0 * p2 * p2)
-    return p2 * p2 * (theta * lam + 4.0 * (2.0 * eta * etab * xi + pi))
-
-
-def purify_noisy(f: float, g: GateNoiseParams) -> float:
+def _purify(f: float, g: GateNoiseParams) -> tuple[float, float]:
     """One purification round with unreliable gates and measurements.
 
-    Output fidelity of the kept pair:
+    Both input pairs carry fidelity ``f``.  Returns the fidelity of the kept
+    pair and the probability that the coincidence check keeps it:
 
-        (theta*phi + 2*eta*etab*xi + pi) / (theta*lam + 4*(2*eta*etab*xi + pi))
+        f_out  = (theta*phi + 2*eta*etab*xi + pi) / (theta*lam + 4*(2*eta*etab*xi + pi))
+        p_pass = p2^2 * (theta*lam + 4*(2*eta*etab*xi + pi))
 
     where ``fb = (1-f)/3``, ``phi = f^2 + fb^2``, ``xi = f*fb + fb^2``,
     ``lam = f^2 + 2 f fb + 5 fb^2``, ``theta = eta^2 + etab^2`` and
-    ``pi = (1 - p2^2)/(8 p2^2)``.  Reduces to :func:`purify_ideal` when the
-    gates are perfect.
+    ``pi = (1 - p2^2)/(8 p2^2)``.  Perfect gates give ``theta = 1`` and
+    ``etab = pi = 0``, so ``f_out = phi/lam`` and ``p_pass = lam`` exactly.
+    One-qubit reliability never enters (the circuit uses none).
     """
     f = validate_fidelity(f)
     eta, p2 = g.eta, g.p2
@@ -135,7 +112,25 @@ def purify_noisy(f: float, g: GateNoiseParams) -> float:
     pi = (1.0 - p2 * p2) / (8.0 * p2 * p2)
     num = theta * phi + 2.0 * eta * etab * xi + pi
     den = theta * lam + 4.0 * (2.0 * eta * etab * xi + pi)
-    return num / den
+    return num / den, p2 * p2 * den
+
+
+_IDEAL = GateNoiseParams()
+
+
+def purify_ideal(f: float) -> float:
+    """Fidelity after one purification round with perfect gates."""
+    return _purify(f, _IDEAL)[0]
+
+
+def purify_success_probability(f: float, g: GateNoiseParams | None = None) -> float:
+    """Probability the coincidence check passes; ``g=None`` means perfect gates."""
+    return _purify(f, _IDEAL if g is None else g)[1]
+
+
+def purify_noisy(f: float, g: GateNoiseParams) -> float:
+    """Fidelity after one purification round with gates ``g``."""
+    return _purify(f, g)[0]
 
 
 def swap_chain_fidelity(f: float, l: int, g: GateNoiseParams) -> float:

@@ -266,6 +266,15 @@ def test_expected_attempts_includes_link_and_epp_failures():
     )
 
 
+def test_expected_attempts_walks_past_degeneracy():
+    # The trace stops after 3 steps; the attempt count still runs all 6
+    # levels, with this exact value.
+    cfg = baseline_config(n=6, k=1)
+    mem = MemoryModel.exponential(1e-7)
+    assert len(simulate_chain(cfg, BASELINE, mem).steps) == 3
+    assert expected_attempts(cfg, BASELINE, mem) == 828972.1149471782
+
+
 def test_trace_csv_round_trip():
     trace = simulate_chain(baseline_config(), BASELINE,
                            MemoryModel.exponential(10e-3))

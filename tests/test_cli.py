@@ -252,6 +252,58 @@ def test_rate_sweep_fits_and_csv(capsys, tmp_path):
     ]
 
 
+BASELINE_RATE_SWEEP_STDOUT = (
+    "fit regime=direct metric=resource_normalized kind=exponential parameter=0.0460517018599 goodness=1\n"
+    "fit regime=repeater_ideal_memory metric=resource_normalized kind=exponential parameter=0.00699826827792 goodness=0.996719719946\n"
+    "fit regime=repeater_ideal_memory metric=time_normalized kind=exponential parameter=0.00701202504253 goodness=0.996473441457\n"
+    "fit regime=repeater_noisy_memory metric=resource_normalized kind=exponential parameter=0.0170325847857 goodness=0.99972984671\n"
+    "fit regime=repeater_noisy_memory metric=time_normalized kind=exponential parameter=0.0170638368685 goodness=0.999767698325\n"
+    "direct.resource_normalized.kind=exponential\n"
+    "direct.resource_normalized.parameter=0.0460517018599\n"
+    "direct.resource_normalized.goodness=1\n"
+    "direct.resource_normalized.polynomial_degree=76.3094339511\n"
+    "direct.resource_normalized.polynomial_goodness=0.820408163265\n"
+    "direct.resource_normalized.exponential_constant_per_km=0.0460517018599\n"
+    "direct.resource_normalized.exponential_goodness=1\n"
+    "repeater_ideal_memory.resource_normalized.kind=exponential\n"
+    "repeater_ideal_memory.resource_normalized.parameter=0.00699826827792\n"
+    "repeater_ideal_memory.resource_normalized.goodness=0.996719719946\n"
+    "repeater_ideal_memory.resource_normalized.polynomial_degree=11.8921691779\n"
+    "repeater_ideal_memory.resource_normalized.polynomial_goodness=0.859961308727\n"
+    "repeater_ideal_memory.resource_normalized.exponential_constant_per_km=0.00699826827792\n"
+    "repeater_ideal_memory.resource_normalized.exponential_goodness=0.996719719946\n"
+    "repeater_ideal_memory.time_normalized.kind=exponential\n"
+    "repeater_ideal_memory.time_normalized.parameter=0.00701202504253\n"
+    "repeater_ideal_memory.time_normalized.goodness=0.996473441457\n"
+    "repeater_ideal_memory.time_normalized.polynomial_degree=11.9265537053\n"
+    "repeater_ideal_memory.time_normalized.polynomial_goodness=0.861338034962\n"
+    "repeater_ideal_memory.time_normalized.exponential_constant_per_km=0.00701202504253\n"
+    "repeater_ideal_memory.time_normalized.exponential_goodness=0.996473441457\n"
+    "repeater_noisy_memory.resource_normalized.kind=exponential\n"
+    "repeater_noisy_memory.resource_normalized.parameter=0.0170325847857\n"
+    "repeater_noisy_memory.resource_normalized.goodness=0.99972984671\n"
+    "repeater_noisy_memory.resource_normalized.polynomial_degree=17.594358256\n"
+    "repeater_noisy_memory.resource_normalized.polynomial_goodness=0.861105573715\n"
+    "repeater_noisy_memory.resource_normalized.exponential_constant_per_km=0.0170325847857\n"
+    "repeater_noisy_memory.resource_normalized.exponential_goodness=0.99972984671\n"
+    "repeater_noisy_memory.time_normalized.kind=exponential\n"
+    "repeater_noisy_memory.time_normalized.parameter=0.0170638368685\n"
+    "repeater_noisy_memory.time_normalized.goodness=0.999767698325\n"
+    "repeater_noisy_memory.time_normalized.polynomial_degree=17.6376631417\n"
+    "repeater_noisy_memory.time_normalized.polynomial_goodness=0.862215462577\n"
+    "repeater_noisy_memory.time_normalized.exponential_constant_per_km=0.0170638368685\n"
+    "repeater_noisy_memory.time_normalized.exponential_goodness=0.999767698325\n"
+)
+
+
+def test_rate_sweep_baseline_stdout_golden(capsys, tmp_path):
+    cfg = write(tmp_path, "base.ini", BASELINE_INI)
+    code, out, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
+                             str(tmp_path / "rates.csv"))
+    assert (code, err) == (0, "")
+    assert out == BASELINE_RATE_SWEEP_STDOUT
+
+
 def test_rate_sweep_with_too_few_points(capsys, tmp_path):
     cfg = write(
         tmp_path, "short.ini",
@@ -282,6 +334,31 @@ def test_unsupported_format_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--format", "json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, ini", [
+    ("rate-sweep", "[sweep]\nstop = 32\n"),
+    ("trace", "[chain]\nn = 32\n"),
+])
+def test_pair_count_overflow_is_one_line_not_a_traceback(capsys, tmp_path,
+                                                         command, ini):
+    # (l * m**k)**n = 4**32 pairs does not fit in 64 bits.
+    cfg = write(tmp_path, "deep.ini", ini)
+    code, out, err = run_cli(capsys, command, "--config", cfg, "--out",
+                             str(tmp_path / "out.csv"))
+    assert code == 1
+    assert out == "Overflow: resource count 4**32 exceeds the 64-bit range\n"
+    assert err == ""
+
+
+def test_link_fidelity_at_the_degeneracy_floor_is_a_config_error(capsys,
+                                                                 tmp_path):
+    cfg = write(tmp_path, "floor.ini", "[link]\nf0 = 0.2500000000005\n")
+    code, out, err = run_cli(capsys, "trace", "--config", cfg, "--out",
+                             str(tmp_path / "t.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: section [link]")
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -31,6 +31,8 @@ def test_link_model_defaults_and_validation():
     with pytest.raises(ValueError):
         LinkModel(f0=0.25)  # an elementary pair must start above fully mixed
     with pytest.raises(ValueError):
+        LinkModel(f0=0.25 + 5e-13)  # ... and above the degeneracy floor
+    with pytest.raises(ValueError):
         LinkModel(f0=1.2)
 
 

@@ -31,6 +31,7 @@ from repeaterlab import (
     threshold_distance,
     usefulness_weight,
 )
+from repeaterlab.rates import CURVES
 
 IDEAL = GateNoiseParams.ideal()
 BASELINE = GateNoiseParams(p1=0.999, p2=0.99, eta=0.995)
@@ -300,6 +301,20 @@ def test_sweep_rates_with_no_depths():
     curves = sweep_rates(cfg, BASELINE, MemoryModel.none(), [])
     assert len(curves) == 5
     assert all(c.points == () for c in curves)
+
+
+def test_sweep_rates_keeps_emptied_curves_in_curve_order():
+    # The noisy-memory chain is fully mixed from level 1 on, so both of its
+    # curves come back empty but still in their places.
+    link = LinkModel(d_km=25.0, f0=0.96, c_signal_km_s=3e5)
+    cfg = ChainConfig(l=2, n=8, link=link, epp_rounds_per_level=0)
+    curves = sweep_rates(cfg, BASELINE, MemoryModel.exponential(1e-9),
+                         list(range(1, 9)))
+    assert len(curves) == len(CURVES)
+    for curve, (regime, metric) in zip(curves, CURVES):
+        assert curve.regime == regime
+        assert all(p.metric == metric for p in curve.points)
+    assert [len(c.points) for c in curves] == [8, 8, 8, 0, 0]
 
 
 def _polyfit_r2(x, y):

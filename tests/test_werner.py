@@ -112,6 +112,9 @@ def test_gate_noise_params_validation():
         GateNoiseParams(p1=1.0, p2=1.1, eta=1.0)
     with pytest.raises(ValueError):
         GateNoiseParams(p1=1.0, p2=1.0, eta=0.5)  # readout no better than a coin
+    with pytest.raises(ValueError):
+        GateNoiseParams(p1=1.0, p2=1e-200, eta=1.0)  # p2**2 underflows
+    assert purify_noisy(0.5, GateNoiseParams(p1=1.0, p2=1.5e-154, eta=1.0)) == 0.25
 
 
 def test_purify_ideal_frozen_value():
@@ -133,10 +136,11 @@ def test_purify_ideal_matches_high_precision():
 
 
 def test_purify_noisy_reduces_to_ideal():
-    for f in FIDELITY_GRID:
-        assert purify_noisy(f, GateNoiseParams.ideal()) == pytest.approx(
-            purify_ideal(f), abs=1e-15
-        )
+    # Exactly: perfect gates take the general formula, with no shortcut.
+    ideal = GateNoiseParams.ideal()
+    for f in FIDELITY_GRID + [i / 200 for i in range(201)]:
+        assert purify_noisy(f, ideal) == purify_ideal(f)
+        assert purify_success_probability(f, ideal) == purify_success_probability(f)
 
 
 def test_purify_noisy_matches_high_precision():
