@@ -6,12 +6,23 @@ as the leftmost tensor factor.  The two reference circuits (`es_oracle`,
 `epp_oracle`) rebuild the swap and purification fidelity maps from explicit
 noisy gates, measurements and recovery operations, so the closed forms in
 :mod:`repeaterlab.werner` can be checked against circuit-level truth.
+
+Operators are applied by contracting the ``(2,)*2n`` state tensor on the
+target axes, from the left and the right, so no ``2^n x 2^n`` operator is
+ever built: gates are two ``np.einsum`` calls, readout weights the blocks
+of the target's row and column axes, and a fresh mixed qubit is an outer
+product with ``I/2``.  :func:`expand_operator` builds the full embedded operator
+explicitly; the oracles never call it, and it is the reference the
+contraction paths are tested against.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,17 +115,34 @@ def fidelity_to_bell(rho: np.ndarray, kind: BellKind = BellKind.PHI_PLUS) -> flo
     return float(np.real(v.conj() @ rho @ v))
 
 
+def _check_positions(positions: tuple[int, ...], n: int) -> None:
+    """Raise unless ``positions`` are distinct integer qubit indices in ``range(n)``.
+
+    Negative indices are rejected too: an einsum subscript or slice would
+    silently read ``-1`` as the last qubit.
+    """
+    if len(set(positions)) != len(positions) or not all(
+        isinstance(q, numbers.Integral) and 0 <= q < n for q in positions
+    ):
+        raise ValueError(f"positions {positions} invalid for {n} qubits")
+
+
+def _check_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> None:
+    """Raise unless ``op`` is a ``len(positions)``-qubit operator on valid positions."""
+    k = len(positions)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
+    _check_positions(positions, n)
+
+
 def expand_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.ndarray:
     """Embed a k-qubit operator acting on ``positions`` into n qubits.
 
     ``positions[0]`` is the first tensor factor of ``op``.  Positions must be
     distinct and in range.
     """
+    _check_operator(op, positions, n)
     k = len(positions)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
-    if len(set(positions)) != k or not all(0 <= q < n for q in positions):
-        raise ValueError(f"positions {positions} invalid for {n} qubits")
     rest = [q for q in range(n) if q not in positions]
     slot_owner = list(positions) + rest
     full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
@@ -122,6 +150,45 @@ def expand_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.nd
     tensor = full.reshape([2] * (2 * n))
     tensor = tensor.transpose(src + [s + n for s in src])
     return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
+
+
+@functools.lru_cache(maxsize=None)
+def _left_subscripts(n: int, targets: tuple[int, ...]) -> str:
+    """Einsum subscripts of ``op @ rho`` for a k-qubit ``op`` on ``targets``.
+
+    The state tensor has row axes ``rows`` and column axes ``cols``; ``op``,
+    reshaped to ``(2,)*2k``, has its output axes first.  The contraction sums
+    the target row axes against ``op``'s input axes and puts its output axes
+    in their place.
+    """
+    k = len(targets)
+    rows, cols = string.ascii_letters[:n], string.ascii_letters[n : 2 * n]
+    fresh = string.ascii_letters[2 * n : 2 * n + k]
+    out = list(rows)
+    for q, letter in zip(targets, fresh):
+        out[q] = letter
+    summed = "".join(rows[q] for q in targets)
+    return f"{fresh}{summed},{rows}{cols}->{''.join(out)}{cols}"
+
+
+def _conjugate(rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """``U rho U^H`` for ``op`` acting on ``targets``, by tensor contraction.
+
+    The right factor is applied as ``U rho U^H = (U (U rho)^H)^H``, so both
+    contractions sum over row axes.  With the column axes innermost in
+    memory, einsum runs a row-side contraction about three times as fast as
+    the same contraction on the column side (four qubits).
+    """
+    n = num_qubits(rho)
+    targets = tuple(targets)
+    _check_operator(op, targets, n)
+    subscripts = _left_subscripts(n, targets)
+    gate = op.reshape((2,) * (2 * len(targets)))
+    tensor_shape = (2,) * (2 * n)
+    half = np.einsum(subscripts, gate, rho.reshape(tensor_shape))
+    half = np.ascontiguousarray(half.reshape(rho.shape).conj().T)
+    full = np.einsum(subscripts, gate, half.reshape(tensor_shape))
+    return np.ascontiguousarray(full.reshape(rho.shape).conj().T)
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -132,27 +199,32 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
         raise ValueError(f"keep indices must be sorted and unique, got {keep!r}")
     if not all(0 <= q < n for q in keep_sorted):
         raise ValueError(f"keep indices {keep!r} out of range for {n} qubits")
-    rows = [chr(ord("a") + q) for q in range(n)]
-    cols = [rows[q].upper() if q in keep_sorted else rows[q] for q in range(n)]
-    out = "".join(rows[q] for q in keep_sorted) + "".join(
-        rows[q].upper() for q in keep_sorted
-    )
     tensor = rho.reshape([2] * (2 * n))
-    reduced = np.einsum("".join(rows) + "".join(cols) + "->" + out, tensor)
+    reduced = np.einsum(_trace_subscripts(n, tuple(keep_sorted)), tensor)
     k = len(keep_sorted)
     return np.ascontiguousarray(reduced.reshape(2**k, 2**k))
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
+    """Einsum subscripts of :func:`partial_trace` keeping the sorted ``keep``."""
+    rows = [chr(ord("a") + q) for q in range(n)]
+    cols = [rows[q].upper() if q in keep else rows[q] for q in range(n)]
+    out = "".join(rows[q] for q in keep) + "".join(rows[q].upper() for q in keep)
+    return "".join(rows) + "".join(cols) + "->" + out
 
 
 def _insert_mixed_qubit(rho: np.ndarray, position: int) -> np.ndarray:
     """Tensor a fresh maximally mixed qubit into ``rho`` at ``position``."""
     n = num_qubits(rho) + 1
-    grown = np.kron(rho, I2 / 2.0)  # new qubit occupies the last slot
-    order = list(range(n - 1))
-    order.insert(position, n - 1)  # qubit owning each slot after reordering
-    src = [order.index(q) for q in range(n)]
-    tensor = grown.reshape([2] * (2 * n))
-    tensor = tensor.transpose(src + [s + n for s in src])
-    return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
+    grown = np.multiply.outer(rho.reshape((2,) * (2 * n - 2)), I2 / 2.0)
+    # The new qubit's row and column axes come last; move them to ``position``
+    # and ``n + position``.  A plain transpose costs less than np.moveaxis,
+    # which normalises its axis arguments on every call.
+    order = list(range(2 * n - 2))
+    order.insert(position, 2 * n - 2)
+    order.insert(n + position, 2 * n - 1)
+    return grown.transpose(order).reshape(2**n, 2**n)
 
 
 def apply_one_qubit_noisy(
@@ -163,11 +235,10 @@ def apply_one_qubit_noisy(
     With probability ``p1`` the ideal ``op`` acts on ``target``; otherwise the
     target qubit is discarded and replaced by a maximally mixed one in place.
     """
-    n = num_qubits(rho)
-    full = expand_operator(op, (target,), n)
-    ideal = full @ rho @ full.conj().T
+    ideal = _conjugate(rho, op, (target,))
     if p1 == 1.0:
         return ideal
+    n = num_qubits(rho)
     others = tuple(q for q in range(n) if q != target)
     stripped = partial_trace(rho, others)
     return p1 * ideal + (1.0 - p1) * _insert_mixed_qubit(stripped, target)
@@ -177,11 +248,10 @@ def apply_two_qubit_noisy(
     rho: np.ndarray, targets: tuple[int, int], op: np.ndarray, p2: float
 ) -> np.ndarray:
     """Depolarizing two-qubit operation; failure replaces both targets by I/4."""
-    n = num_qubits(rho)
-    full = expand_operator(op, targets, n)
-    ideal = full @ rho @ full.conj().T
+    ideal = _conjugate(rho, op, targets)
     if p2 == 1.0:
         return ideal
+    n = num_qubits(rho)
     others = tuple(q for q in range(n) if q not in targets)
     stripped = partial_trace(rho, others)
     lo, hi = sorted(targets)
@@ -208,21 +278,30 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     if not 0.5 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0.5, 1], got {eta!r}")
     n = num_qubits(rho)
-    projected = []
-    for value in (0, 1):
-        ket = np.zeros((2, 1), dtype=complex)
-        ket[value, 0] = 1.0
-        proj = expand_operator(ket @ ket.conj().T, (target,), n)
-        sub = proj @ rho @ proj
-        projected.append((float(np.real(np.trace(sub))), sub))
+    _check_positions((target,), n)
+    # Row and column index each split around the target qubit's axis; the
+    # projection onto |v> keeps the block where both of those axes read v.
+    split = (2**target, 2, 2 ** (n - target - 1))
+    tensor = rho.reshape(split + split)
+    diagonal = np.real(np.diagonal(rho)).reshape(split)
+    weights = []
+    for v in (0, 1):
+        # Zero the other value's entries rather than slicing them away, so
+        # the sum runs over the whole diagonal in the order np.trace uses.
+        masked = diagonal.copy()
+        masked[:, 1 - v, :] = 0.0
+        weights.append(float(masked.sum()))
     branches = []
     for reported in (0, 1):
-        p_true, rho_true = projected[reported]
-        p_flip, rho_flip = projected[1 - reported]
-        prob = eta * p_true + (1.0 - eta) * p_flip
+        prob = eta * weights[reported] + (1.0 - eta) * weights[1 - reported]
         if prob <= 0.0:
             continue
-        state = (eta * rho_true + (1.0 - eta) * rho_flip) / prob
+        # Weight of each (row, column) value pair of the target: eta on the
+        # reported block, 1 - eta on the other, 0 on the coherences between.
+        keep = [1.0 - eta, 1.0 - eta]
+        keep[reported] = eta
+        state = tensor * np.diag(keep).reshape(1, 2, 1, 1, 2, 1)
+        state = state.reshape(rho.shape) / prob
         branches.append(MeasurementBranch(reported, prob, state))
     return branches
 

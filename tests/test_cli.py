@@ -218,6 +218,18 @@ def test_oracle_check_passes(capsys):
     assert all(v < 1e-9 for v in values.values())
 
 
+def test_oracle_check_stdout_is_frozen(capsys):
+    # The exact digits the oracle printed before it moved to tensor
+    # contraction; a change here means the circuits' rounding moved.
+    code, out, _ = run_cli(capsys, "oracle-check")
+    assert code == 0
+    assert out == (
+        "swap_max_deviation=8.881784197e-16\n"
+        "purify_max_deviation=4.4408920985e-16\n"
+        "purify_success_max_deviation=7.77156117238e-16\n"
+    )
+
+
 def test_oracle_check_catches_a_wrong_formula(capsys, monkeypatch):
     genuine = repeaterlab.werner.swap_chain_fidelity
 

@@ -260,3 +260,114 @@ def test_map_deviations_flags_a_corrupted_formula():
     rigged = map_deviations(fidelities, noise, swap_map=corrupted_swap)
     assert rigged["swap"] > 1e-9
     assert rigged["purify"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: apply_one_qubit_noisy(rho, -1, X, 1.0),
+        lambda rho: apply_one_qubit_noisy(rho, 3, X, 0.9),
+        lambda rho: apply_one_qubit_noisy(rho, 0, CNOT, 1.0),
+        lambda rho: apply_two_qubit_noisy(rho, (0, -1), CNOT, 1.0),
+        lambda rho: apply_two_qubit_noisy(rho, (1, 3), CNOT, 0.9),
+        lambda rho: apply_two_qubit_noisy(rho, (2, 2), CNOT, 1.0),
+        lambda rho: apply_two_qubit_noisy(rho, (0, 1), X, 1.0),
+        lambda rho: measure_noisy(rho, -1, 0.9),
+        lambda rho: measure_noisy(rho, 3, 0.9),
+        lambda rho: measure_noisy(rho, 1.5, 0.9),
+    ],
+    ids=[
+        "one-negative", "one-out-of-range", "one-wrong-shape",
+        "two-negative", "two-out-of-range", "two-repeated", "two-wrong-shape",
+        "measure-negative", "measure-out-of-range", "measure-fractional",
+    ],
+)
+def test_bad_targets_and_shapes_raise_value_error(call):
+    rho = random_mixed_state(random.Random(2), 3)
+    with pytest.raises(ValueError, match="positions|shape"):
+        call(rho)
+
+
+def test_gate_application_does_not_assume_a_hermitian_input():
+    # The column side is applied through adjoints, which holds for any matrix.
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    full = expand_operator(u, (2, 0), 3)
+    expected = full @ m @ full.conj().T
+    assert np.allclose(apply_two_qubit_noisy(m, (2, 0), u, 1.0), expected,
+                       rtol=0, atol=1e-13)
+
+
+#: ``es_oracle``/``epp_oracle`` outputs recorded before the oracle switched
+#: from embedded operators to tensor contraction: gates (p1, p2, eta), f,
+#: swap fidelity, the four swap branch probabilities in outcome order,
+#: purified fidelity, purification pass probability.
+FROZEN_ORACLE_OUTPUTS = [
+    ((1.0, 1.0, 1.0), 0.3, 0.25333333333333313, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.28761061946902655, 0.5022222222222219),
+    ((1.0, 1.0, 1.0), 0.5, 0.333333333333333, (0.2499999999999998, 0.2499999999999998, 0.2499999999999998, 0.2499999999999998), 0.4999999999999998, 0.5555555555555554),
+    ((1.0, 1.0, 1.0), 0.75, 0.5833333333333329, (0.2499999999999998, 0.2499999999999998, 0.2499999999999998, 0.2499999999999998), 0.7884615384615383, 0.7222222222222218),
+    ((1.0, 1.0, 1.0), 0.9, 0.8133333333333327, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.9263959390862941, 0.8755555555555551),
+    ((1.0, 1.0, 1.0), 1.0, 0.9999999999999991, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.9999999999999998, 0.9999999999999996),
+    ((0.95, 0.95, 0.95), 0.3, 0.2524863874999998, (0.2499999999999998, 0.2499999999999998, 0.2499999999999998, 0.2499999999999998), 0.28075554744856185, 0.5016244999999997),
+    ((0.95, 0.95, 0.95), 0.5, 0.3121596874999998, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.4598346525674324, 0.5406124999999998),
+    ((0.95, 0.95, 0.95), 0.75, 0.4986387499999994, (0.24999999999999978, 0.24999999999999978, 0.24999999999999978, 0.24999999999999978), 0.7294774867704897, 0.6624499999999995),
+    ((0.95, 0.95, 0.95), 0.9, 0.6701994874999994, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.8745056298253966, 0.7745404999999995),
+    ((0.95, 0.95, 0.95), 1.0, 0.8094371874999992, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.9577562426885803, 0.8655124999999996),
+    ((0.99, 0.95, 1.0), 0.3, 0.25310364999999974, (0.2499999999999998, 0.2499999999999998, 0.2499999999999998, 0.2499999999999998), 0.28395823419395533, 0.5020055555555553),
+    ((0.99, 0.95, 1.0), 0.5, 0.3275912499999997, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.4778465034082302, 0.5501388888888886),
+    ((0.99, 0.95, 1.0), 0.75, 0.5603649999999994, (0.24999999999999978, 0.24999999999999978, 0.24999999999999978, 0.24999999999999978), 0.7509912767644724, 0.700555555555555),
+    ((0.99, 0.95, 1.0), 0.9, 0.7745168499999993, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.8870911667516505, 0.8389388888888883),
+    ((0.99, 0.95, 1.0), 1.0, 0.9483212499999991, (0.24999999999999983, 0.24999999999999983, 0.24999999999999983, 0.24999999999999983), 0.9615637319316686, 0.9512499999999995),
+]
+
+
+@pytest.mark.parametrize("row", FROZEN_ORACLE_OUTPUTS, ids=lambda r: f"{r[0]}-{r[1]}")
+def test_oracle_outputs_match_frozen_values(row):
+    gates, f, swapped, branch_probs, purified, passed = row
+    g = GateNoiseParams(*gates)
+    es = es_oracle(f, f, g)
+    epp = epp_oracle(f, g)
+    assert sorted(es.outcome_probabilities) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    got = [es.fidelity, epp.f_out, epp.success_probability] + [
+        es.outcome_probabilities[k] for k in sorted(es.outcome_probabilities)
+    ]
+    want = [swapped, purified, passed, *branch_probs]
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+
+
+def test_intermediate_oracle_states_are_density_matrices():
+    """Walk both circuits through the calls the oracles make, checking each state."""
+    g = GateNoiseParams(p1=0.95, p2=0.93, eta=0.97)
+    f = 0.8
+
+    def checked(rho):
+        check_density_matrix(rho)
+        return rho
+
+    # Entanglement swapping, as in es_oracle.
+    rho = checked(np.kron(werner_state(f), werner_state(f)))
+    rho = checked(apply_two_qubit_noisy(rho, (1, 2), CNOT, g.p2))
+    rho = checked(apply_one_qubit_noisy(rho, 1, H, 1.0))
+    pairs = []
+    for b1 in measure_noisy(rho, 1, g.eta):
+        checked(b1.state)
+        for b2 in measure_noisy(b1.state, 2, g.eta):
+            state = checked(b2.state)
+            state = checked(apply_one_qubit_noisy(state, 3, Z if b1.outcome else I2, g.p1))
+            state = checked(apply_one_qubit_noisy(state, 3, X if b2.outcome else I2, g.p1))
+            pairs.append(checked(partial_trace(state, (0, 3))))
+    assert len(pairs) == 4
+
+    # Purification, as in epp_oracle.
+    rho = checked(np.kron(werner_state(f), werner_state(f)))
+    rho = checked(apply_two_qubit_noisy(rho, (0, 2), CNOT, g.p2))
+    rho = checked(apply_two_qubit_noisy(rho, (1, 3), CNOT, g.p2))
+    kept = []
+    for b2 in measure_noisy(rho, 2, g.eta):
+        checked(b2.state)
+        for b3 in measure_noisy(b2.state, 3, g.eta):
+            checked(b3.state)
+            if b2.outcome == b3.outcome:
+                kept.append(checked(partial_trace(b3.state, (0, 1))))
+    assert len(kept) == 2

@@ -1,6 +1,11 @@
-"""Property tests: invariants of the maps and of the CSV round trips."""
+"""Property tests: invariants of the maps, the oracle's contraction paths and
+the CSV round trips."""
 
-from hypothesis import example, given, settings
+import functools
+import itertools
+
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repeaterlab import (
@@ -8,8 +13,14 @@ from repeaterlab import (
     GateNoiseParams,
     LinkModel,
     MemoryModel,
+    NoValidRangeError,
+    apply_one_qubit_noisy,
+    apply_two_qubit_noisy,
     curves_from_csv,
     curves_to_csv,
+    expand_operator,
+    measure_noisy,
+    purification_fixed_points,
     purify_noisy,
     purify_success_probability,
     simulate_chain,
@@ -18,6 +29,7 @@ from repeaterlab import (
     trace_from_csv,
     trace_to_csv,
 )
+from repeaterlab.dmsim import CNOT, H, X, Z, _insert_mixed_qubit, num_qubits
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -102,3 +114,158 @@ def test_accepted_chains_round_trip_through_csv(g, mem, f0, d_km, l, n, m, k,
     kept = [c for c in curves if c.points]
     assert [c.regime for c in parsed_curves] == [c.regime for c in kept]
     assert [len(c.points) for c in parsed_curves] == [len(c.points) for c in kept]
+
+
+#: Distance kept from the fixed points when checking where purification
+#: gains: the gain vanishes at the roots, so rounding decides right next to
+#: them.  Besides ``f_min`` and ``f_max`` the map fixes the fully mixed
+#: fidelity 1/4, the third root of its residual cubic, where rounding alone
+#: sets the sign: p2 = 0.9999999999999999, eta = 0.8849302192997293 gives
+#: ``purify_noisy(0.25) == 0.25000000000000006``.
+ROOT_MARGIN = 1e-9
+
+
+#: Gate sets drawn where purification mostly has a valid interval: it needs
+#: p2 >= 0.9487 and eta > 0.854 at the least.
+purifiable_gates = st.builds(
+    GateNoiseParams,
+    p1=unit,
+    p2=st.floats(0.94, 1.0),
+    eta=st.floats(0.85, 1.0),
+)
+
+
+@PROPERTY
+@given(purifiable_gates, fidelity, st.floats(0.0, 1.0))
+def test_purification_gains_exactly_inside_its_interval(g, f, u):
+    try:
+        fp = purification_fixed_points(g)
+    except NoValidRangeError:
+        assume(False)
+    assert fp.f_min <= fp.f_max
+    inside = fp.f_min + u * (fp.f_max - fp.f_min)
+    for point in (f, inside):
+        if fp.f_min + ROOT_MARGIN < point < fp.f_max - ROOT_MARGIN:
+            assert purify_noisy(point, g) > point
+        elif (
+            0.25 + ROOT_MARGIN <= point <= fp.f_min - ROOT_MARGIN
+            or point >= fp.f_max + ROOT_MARGIN
+        ):
+            assert purify_noisy(point, g) <= point
+
+
+#: The oracle's contraction paths must equal the embedded-operator reference
+#: to this absolute tolerance, entry by entry.
+CONTRACTION_TOL = 1e-13
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random density matrix on n qubits: A A^H over its trace."""
+    dim = 2**n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def random_operator(rng: np.random.Generator, k: int) -> np.ndarray:
+    dim = 2**k
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@st.composite
+def gate_on_state(draw):
+    """(rho, targets, op): a state on 1..5 qubits and a 1- or 2-qubit gate."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(2, n)))
+    targets = tuple(draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(draw(seeds))
+    named = {1: (X, Z, H), 2: (CNOT,)}[k]
+    op = draw(st.sampled_from(named + (None,)))
+    if op is None:
+        op = random_operator(rng, k)
+    return random_state(rng, n), targets, op
+
+
+@PROPERTY
+@given(gate_on_state())
+def test_gate_contraction_matches_embedded_operator(case):
+    rho, targets, op = case
+    full = expand_operator(op, targets, num_qubits(rho))
+    expected = full @ rho @ full.conj().T
+    if len(targets) == 1:
+        got = apply_one_qubit_noisy(rho, targets[0], op, 1.0)
+    else:
+        got = apply_two_qubit_noisy(rho, targets, op, 1.0)
+    assert np.max(np.abs(got - expected)) <= CONTRACTION_TOL
+
+
+PAULIS = (np.eye(2, dtype=complex), X, 1j * X @ Z, Z)
+
+#: A four-qubit state: failed gates on it must leave the bystanders of
+#: targets 1 and (0, 2) in their slots.
+FOUR_QUBITS = random_state(np.random.default_rng(7), 4)
+
+
+@PROPERTY
+@given(gate_on_state(), st.floats(0.0, 1.0))
+@example((FOUR_QUBITS, (1,), H), 0.0)
+@example((FOUR_QUBITS, (0, 2), CNOT), 0.0)
+def test_gate_failure_matches_pauli_twirl(case, p):
+    """A failed gate leaves its targets fully depolarized: the uniform average
+    of P rho P over Pauli strings P on the targets."""
+    rho, targets, op = case
+    n = num_qubits(rho)
+    full = expand_operator(op, targets, n)
+    strings = list(itertools.product(PAULIS, repeat=len(targets)))
+    twirled = np.zeros_like(rho)
+    for paulis in strings:
+        pauli = expand_operator(functools.reduce(np.kron, paulis), targets, n)
+        twirled = twirled + pauli @ rho @ pauli.conj().T
+    expected = p * (full @ rho @ full.conj().T) + (1.0 - p) * twirled / len(strings)
+    if len(targets) == 1:
+        got = apply_one_qubit_noisy(rho, targets[0], op, p)
+    else:
+        got = apply_two_qubit_noisy(rho, targets, op, p)
+    assert np.max(np.abs(got - expected)) <= CONTRACTION_TOL
+
+
+@PROPERTY
+@given(gate_on_state(), st.floats(0.5, 1.0, exclude_min=True))
+def test_measurement_branches_match_projector_reference(case, eta):
+    rho, targets, _ = case
+    n = num_qubits(rho)
+    target = targets[0]
+    projected = []
+    for value in (0, 1):
+        ket = np.zeros((2, 1), dtype=complex)
+        ket[value, 0] = 1.0
+        proj = expand_operator(ket @ ket.conj().T, (target,), n)
+        sub = proj @ rho @ proj
+        projected.append((np.real(np.trace(sub)), sub))
+    branches = measure_noisy(rho, target, eta)
+    assert [b.outcome for b in branches] == [0, 1]
+    for b in branches:
+        (p_true, s_true), (p_flip, s_flip) = projected[b.outcome], projected[1 - b.outcome]
+        prob = eta * p_true + (1.0 - eta) * p_flip
+        state = (eta * s_true + (1.0 - eta) * s_flip) / prob
+        assert abs(b.probability - prob) <= CONTRACTION_TOL
+        assert np.max(np.abs(b.state - state)) <= CONTRACTION_TOL
+
+
+@PROPERTY
+@given(st.integers(0, 4), st.data())
+def test_mixed_qubit_insertion_matches_kron_reference(n_old, data):
+    rng = np.random.default_rng(data.draw(seeds))
+    rho = random_state(rng, n_old)
+    n = n_old + 1
+    position = data.draw(st.integers(0, n_old))
+    # Reference: the new qubit as the last tensor factor, then each slot
+    # takes the axis of the qubit that owns it.
+    grown = np.kron(rho, np.eye(2) / 2.0)
+    owner = list(range(n_old))
+    owner.insert(position, n_old)
+    expected = grown.reshape([2] * (2 * n)).transpose(owner + [q + n for q in owner])
+    expected = expected.reshape(2**n, 2**n)
+    assert np.max(np.abs(_insert_mixed_qubit(rho, position) - expected)) <= CONTRACTION_TOL
