@@ -117,13 +117,18 @@ def round_time(x: int, cfg: ChainConfig) -> float:
 
     The merged pairs span ``l**x`` links; swap corrections cost ``c_es``
     one-way messages over that span and each purification round costs
-    ``c_epp`` of them for outcome comparison.
+    ``c_epp`` of them for outcome comparison.  Raises ``OverflowError`` when
+    the span or the latency is not a finite float.
     """
     if not 1 <= x <= cfg.n:
         raise ValueError(f"level must lie in 1..{cfg.n}, got {x}")
     span_km = cfg.l**x * cfg.link.d_km
-    messages = cfg.c_es + cfg.c_epp * cfg.epp_rounds_per_level
-    return messages * classical_comm_time(span_km, cfg.link)
+    if math.isfinite(span_km):
+        messages = cfg.c_es + cfg.c_epp * cfg.epp_rounds_per_level
+        latency = messages * classical_comm_time(span_km, cfg.link)
+        if math.isfinite(latency):
+            return latency
+    raise OverflowError(f"level {x} latency is not a finite float (span {span_km!r} km)")
 
 
 @dataclass(frozen=True)

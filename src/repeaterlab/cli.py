@@ -7,8 +7,9 @@ pipeline contains no randomness, so identical configs produce byte-identical
 output — golden files are diffable.
 
 Exit codes: 0 success, 1 analysis-level failure (no valid purification
-range, oracle deviation, too few points to fit, a pair count past 64 bits)
-or a stdout closed by its reader, 2 usage or config errors.
+range, oracle deviation, too few points to fit, a pair count past 64 bits,
+a level latency past the float range) or a stdout closed by its reader,
+2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _SECTION_KEYS = {
              "c_signal_km_s": float},
     "gates": {"p1": float, "p2": float, "eta": float},
     "memory": {"mode": str, "tau_s": float},
-    "sweep": {"parameter": str, "start": int, "stop": int, "step": int},
+    "sweep": {"start": int, "stop": int, "step": int},
     "rate": {"f_useful": float},
     "query": {"f": float},
 }
@@ -64,23 +65,15 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Integer sweep over the chain depth n (the only swept parameter)."""
+    """Integer sweep over the chain depth n."""
 
-    parameter: str = "n"
     start: int = 1
     stop: int = 8
     step: int = 1
 
     def __post_init__(self) -> None:
-        if self.parameter != "n":
-            raise ConfigError(
-                f"section [sweep]: only parameter 'n' is sweepable, got "
-                f"{self.parameter!r}"
-            )
         if self.start < 0 or self.stop < self.start or self.step < 1:
-            raise ConfigError(
-                "section [sweep]: need 0 <= start <= stop and step >= 1"
-            )
+            raise ValueError("need 0 <= start <= stop and step >= 1")
 
     def values(self) -> list[int]:
         return list(range(self.start, self.stop + 1, self.step))
@@ -112,9 +105,14 @@ def _convert(raw: str, section: str, key: str, kind):
 
 def load_run_config(path: str | None) -> RunConfig:
     """Parse a config file into validated domain objects (or pure defaults)."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # Values are read literally: a '%' is text, not an interpolation.
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     if path is not None:
-        if not cp.read(path):
+        try:
+            found = cp.read(path)
+        except (configparser.Error, UnicodeError) as exc:
+            raise ConfigError(" ".join(str(exc).split())) from None
+        if not found:
             raise ConfigError(f"config file not found or unreadable: {path}")
     for name in cp.sections():
         if name not in _SECTION_KEYS:
@@ -123,51 +121,29 @@ def load_run_config(path: str | None) -> RunConfig:
             if key not in _SECTION_KEYS[name]:
                 raise ConfigError(f"section [{name}]: unknown key '{key}'")
 
-    def section(name: str) -> dict:
-        """The keys set in section ``name``, converted to their types."""
-        if not cp.has_section(name):
-            return {}
-        values = cp[name]
-        return {
-            key: _convert(values[key], name, key, kind)
-            for key, kind in _SECTION_KEYS[name].items()
-            if key in values
-        }
-
-    try:
-        link = LinkModel(**section("link"))
-    except ValueError as exc:
-        raise ConfigError(f"section [link]: {exc}") from None
-    try:
-        gates = GateNoiseParams(**section("gates"))
-    except ValueError as exc:
-        raise ConfigError(f"section [gates]: {exc}") from None
-
-    memory_keys = section("memory")
-    try:
-        mode = memory_keys.get("mode", MemoryModel.mode)
-        if mode == "none" and "tau_s" in memory_keys:
-            raise ValueError("tau_s only applies to mode=exponential")
-        if mode == "exponential" and "tau_s" not in memory_keys:
-            raise ValueError("mode=exponential requires tau_s")
-        memory = MemoryModel(**memory_keys)
-    except ValueError as exc:
-        raise ConfigError(f"section [memory]: {exc}") from None
-
-    try:
-        # ChainConfig has no defaults for the chain's shape.
-        chain = ChainConfig(**{"l": 2, "n": 3, **section("chain")}, link=link)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section [chain]: {exc}") from None
-
-    sweep = SweepSpec(**section("sweep"))
-    query_f = section("query").get("f", RunConfig.query_f)
-    f_useful = section("rate").get("f_useful")
-    if f_useful is not None:
+    def build(name: str, make, **defaults):
+        """``make`` called with section ``name``'s keys, converted to their
+        types, laid over ``defaults``; its ``ValueError`` becomes a
+        ``ConfigError`` that names the section."""
+        values = cp[name] if cp.has_section(name) else {}
+        for key, kind in _SECTION_KEYS[name].items():
+            if key in values:
+                defaults[key] = _convert(values[key], name, key, kind)
         try:
-            f_useful = validate_fidelity(f_useful, "f_useful")
+            return make(**defaults)
         except ValueError as exc:
-            raise ConfigError(f"section [rate]: {exc}") from None
+            raise ConfigError(f"section [{name}]: {exc}") from None
+
+    link = build("link", LinkModel)
+    gates = build("gates", GateNoiseParams)
+    memory = build("memory", MemoryModel)
+    # ChainConfig has no defaults for the chain's shape.
+    chain = build("chain", ChainConfig, l=2, n=3, link=link)
+    sweep = build("sweep", SweepSpec)
+    f_useful = build("rate", lambda f_useful=None: (
+        None if f_useful is None else validate_fidelity(f_useful, "f_useful")
+    ))
+    query_f = build("query", validate_fidelity, f=RunConfig.query_f)
     return RunConfig(chain, gates, memory, sweep, query_f, f_useful)
 
 
@@ -335,16 +311,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NoValidRangeError as exc:
-        print(f"NoValidRange: {exc}")
+    except (NoValidRangeError, InsufficientPointsError, OverflowError) as exc:
+        print(f"{type(exc).__name__.removesuffix('Error')}: {exc}")
         return 1
-    except InsufficientPointsError as exc:
-        print(f"InsufficientPoints: {exc}")
-        return 1
-    except OverflowError as exc:
-        print(f"Overflow: {exc}")
-        return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -194,14 +194,13 @@ def _conjugate(rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every qubit not listed in ``keep`` (order preserved, sorted)."""
     n = num_qubits(rho)
-    keep_sorted = sorted(set(keep))
-    if keep != tuple(keep_sorted) and list(keep) != keep_sorted:
-        raise ValueError(f"keep indices must be sorted and unique, got {keep!r}")
-    if not all(0 <= q < n for q in keep_sorted):
-        raise ValueError(f"keep indices {keep!r} out of range for {n} qubits")
+    keep = tuple(keep)
+    _check_positions(keep, n)
+    if list(keep) != sorted(keep):
+        raise ValueError(f"keep indices must be sorted, got {keep!r}")
     tensor = rho.reshape([2] * (2 * n))
-    reduced = np.einsum(_trace_subscripts(n, tuple(keep_sorted)), tensor)
-    k = len(keep_sorted)
+    reduced = np.einsum(_trace_subscripts(n, keep), tensor)
+    k = len(keep)
     return np.ascontiguousarray(reduced.reshape(2**k, 2**k))
 
 

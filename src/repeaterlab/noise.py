@@ -37,8 +37,9 @@ class LinkModel:
 class MemoryModel:
     """Quantum-memory behaviour while a pair idles.
 
-    ``mode="none"`` keeps stored pairs pristine; ``mode="exponential"``
-    pulls the fidelity toward the fully mixed 1/4 with time constant ``tau_s``.
+    ``mode="none"`` keeps stored pairs pristine and takes no ``tau_s``;
+    ``mode="exponential"`` pulls the fidelity toward the fully mixed 1/4 with
+    the time constant ``tau_s``, which it requires.
     """
 
     mode: str = "none"
@@ -47,8 +48,12 @@ class MemoryModel:
     def __post_init__(self) -> None:
         if self.mode not in ("none", "exponential"):
             raise ValueError(f"mode must be 'none' or 'exponential', got {self.mode!r}")
+        if self.mode == "none" and self.tau_s is not None:
+            raise ValueError("tau_s only applies to mode=exponential")
         if self.mode == "exponential":
-            if self.tau_s is None or not (math.isfinite(self.tau_s) and self.tau_s > 0.0):
+            if self.tau_s is None:
+                raise ValueError("mode=exponential requires tau_s")
+            if not (math.isfinite(self.tau_s) and self.tau_s > 0.0):
                 raise ValueError(
                     f"exponential memory needs tau_s > 0, got {self.tau_s!r}"
                 )

@@ -29,7 +29,8 @@ CURVES = (
 
 
 class InsufficientPointsError(ValueError):
-    """A scaling fit needs at least five points inside the window."""
+    """A scaling fit needs at least five points inside the window, spread
+    far enough apart that the squares of their offsets stay nonzero."""
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,10 @@ def _linear_fit_r2(x: Sequence[float], y: Sequence[float]) -> tuple[float, float
     y_mean = math.fsum(y) / len(y)
     dx = [v - x_mean for v in x]
     dy = [v - y_mean for v in y]
-    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    sxx = math.fsum(a * a for a in dx)
+    if sxx == 0.0:
+        raise InsufficientPointsError("points too close together to fit a slope")
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
     ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
     ss_tot = math.fsum(b * b for b in dy)
     if ss_tot == 0.0:

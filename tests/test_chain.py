@@ -145,6 +145,17 @@ def test_round_time_values():
         round_time(4, cfg)
 
 
+@pytest.mark.parametrize("link, messages", [
+    (LinkModel(d_km=1e308), 1.0),  # the span itself is past the float range
+    (LinkModel(c_signal_km_s=1e-310), 1.0),  # so is span / signal speed
+    (LinkModel(), 1e308),  # and so is the message count times the time
+])
+def test_round_time_past_the_float_range_is_an_overflow(link, messages):
+    cfg = ChainConfig(l=2, n=1, link=link, c_es=messages, c_epp=messages)
+    with pytest.raises(OverflowError, match="level 1 latency is not a finite float"):
+        round_time(1, cfg)
+
+
 def test_simulate_chain_everything_perfect():
     link = LinkModel(d_km=25.0, f0=1.0)
     cfg = ChainConfig(l=2, n=5, link=link, epp_rounds_per_level=0)

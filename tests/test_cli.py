@@ -348,18 +348,40 @@ def test_unsupported_format_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+#: The one line each config that leaves the number range prints.
+OVERFLOW_LINES = {
+    # (l * m**k)**n = 4**32 pairs does not fit in 64 bits.
+    "[sweep]\nstop = 32\n":
+        "Overflow: resource count 4**32 exceeds the 64-bit range\n",
+    "[chain]\nn = 32\n":
+        "Overflow: resource count 4**32 exceeds the 64-bit range\n",
+    # A level's span or classical latency is past the float range.
+    "[link]\nc_signal_km_s = 1e-310\n":
+        "Overflow: level 1 latency is not a finite float (span 50.0 km)\n",
+    "[link]\nd_km = 1e308\n":
+        "Overflow: level 1 latency is not a finite float (span inf km)\n",
+    "[chain]\nc_es = 1e308\nc_epp = 1e308\n"
+    "[memory]\nmode = exponential\ntau_s = 0.01\n":
+        "Overflow: level 1 latency is not a finite float (span 50.0 km)\n",
+}
+
+
 @pytest.mark.parametrize("command, ini", [
     ("rate-sweep", "[sweep]\nstop = 32\n"),
     ("trace", "[chain]\nn = 32\n"),
+    ("trace", "[link]\nc_signal_km_s = 1e-310\n"),
+    ("trace", "[link]\nd_km = 1e308\n"),
+    ("rate-sweep", "[link]\nd_km = 1e308\n"),
+    ("threshold", "[chain]\nc_es = 1e308\nc_epp = 1e308\n"
+                  "[memory]\nmode = exponential\ntau_s = 0.01\n"),
 ])
 def test_pair_count_overflow_is_one_line_not_a_traceback(capsys, tmp_path,
                                                          command, ini):
-    # (l * m**k)**n = 4**32 pairs does not fit in 64 bits.
     cfg = write(tmp_path, "deep.ini", ini)
     code, out, err = run_cli(capsys, command, "--config", cfg, "--out",
                              str(tmp_path / "out.csv"))
     assert code == 1
-    assert out == "Overflow: resource count 4**32 exceeds the 64-bit range\n"
+    assert out == OVERFLOW_LINES[ini]
     assert err == ""
 
 
@@ -388,6 +410,64 @@ def test_f_useful_outside_unit_interval_is_a_config_error(capsys, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith("config error: section [rate]")
+
+
+@pytest.mark.parametrize("command", ["purify", "swap"])
+@pytest.mark.parametrize("value", ["1.5", "nan", "-0.1"])
+def test_query_fidelity_outside_unit_interval_is_a_config_error(
+        capsys, tmp_path, command, value):
+    cfg = write(tmp_path, "q.ini", f"[query]\nf = {value}\n")
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: section [query]: f must")
+
+
+def test_sweep_has_no_parameter_key(capsys, tmp_path):
+    cfg = write(tmp_path, "sw.ini", "[sweep]\nparameter = n\n")
+    code, out, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
+                             str(tmp_path / "rates.csv"))
+    assert (code, out) == (2, "")
+    assert err == "config error: section [sweep]: unknown key 'parameter'\n"
+
+
+@pytest.mark.parametrize("ini, message", [
+    ("[memory]\ntau_s = 0.01\n", "tau_s only applies to mode=exponential"),
+    ("[memory]\nmode = exponential\n", "mode=exponential requires tau_s"),
+    ("[sweep]\nstart = 5\nstop = 4\n", "need 0 <= start <= stop and step >= 1"),
+])
+def test_section_rules_come_from_the_objects_they_build(capsys, tmp_path, ini,
+                                                        message):
+    cfg = write(tmp_path, "rule.ini", ini)
+    section = ini[1:ini.index("]")]
+    code, out, err = run_cli(capsys, "trace", "--config", cfg, "--out",
+                             str(tmp_path / "t.csv"))
+    assert (code, out) == (2, "")
+    assert err == f"config error: section [{section}]: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "[gates]\np2 = 0.9\np2 = 0.8\n",
+    "[gates]\np2 = 0.9\n[gates]\np1 = 0.9\n",
+    "p2 = 0.9\n",
+    "[gates]\np2 = 0.9\n  continued\n",
+    "[gates]\np2 = 99%\n",
+])
+def test_malformed_ini_is_one_config_error_line(capsys, tmp_path, text):
+    cfg = write(tmp_path, "bad.ini", text)
+    code, out, err = run_cli(capsys, "swap", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_config_file_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "binary.ini"
+    path.write_bytes(b"[gates]\np2 = \xff\xfe\n")
+    code, out, err = run_cli(capsys, "swap", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
 
 
 def test_non_finite_latency_multiplier_is_a_config_error(capsys, tmp_path):

@@ -275,11 +275,15 @@ def test_map_deviations_flags_a_corrupted_formula():
         lambda rho: measure_noisy(rho, -1, 0.9),
         lambda rho: measure_noisy(rho, 3, 0.9),
         lambda rho: measure_noisy(rho, 1.5, 0.9),
+        lambda rho: partial_trace(rho, (1.0, 2)),
+        lambda rho: partial_trace(rho, (1, 1)),
+        lambda rho: partial_trace(rho, (3,)),
     ],
     ids=[
         "one-negative", "one-out-of-range", "one-wrong-shape",
         "two-negative", "two-out-of-range", "two-repeated", "two-wrong-shape",
         "measure-negative", "measure-out-of-range", "measure-fractional",
+        "trace-fractional", "trace-repeated", "trace-out-of-range",
     ],
 )
 def test_bad_targets_and_shapes_raise_value_error(call):

@@ -44,8 +44,10 @@ def test_memory_model_factories():
     assert exp.tau_s == 5e-3
     with pytest.raises(ValueError):
         MemoryModel.exponential(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode=exponential requires tau_s"):
         MemoryModel(mode="exponential", tau_s=None)
+    with pytest.raises(ValueError, match="tau_s only applies to mode=exponential"):
+        MemoryModel(mode="none", tau_s=1.0)
     with pytest.raises(ValueError):
         MemoryModel(mode="gaussian", tau_s=1.0)
 

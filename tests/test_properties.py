@@ -1,8 +1,13 @@
-"""Property tests: invariants of the maps, the oracle's contraction paths and
-the CSV round trips."""
+"""Property tests: invariants of the maps, the oracle's contraction paths,
+the CSV round trips and the command line's exit contract."""
 
 import functools
+import io
 import itertools
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -29,6 +34,7 @@ from repeaterlab import (
     trace_from_csv,
     trace_to_csv,
 )
+from repeaterlab.cli import _SECTION_KEYS, main
 from repeaterlab.dmsim import CNOT, H, X, Z, _insert_mixed_qubit, num_qubits
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -69,6 +75,26 @@ def test_swap_stays_physical_and_monotone(g, a, b, l):
     f_lo, f_hi = swap_chain_fidelity(lo, l, g), swap_chain_fidelity(hi, l, g)
     assert in_range(f_lo) and in_range(f_hi)
     assert f_lo <= f_hi + ULP_SLACK
+
+
+@PROPERTY
+@given(gates, st.sampled_from(("p1", "p2", "eta")), st.floats(0.0, 1.0), fidelity,
+       st.sampled_from((2, 3)))
+def test_maps_are_monotone_in_each_gate_parameter(g, name, u, f, l):
+    """Raising one of p1, p2, eta toward 1 never lowers a fidelity or the
+    purification pass probability."""
+    value = getattr(g, name)
+    better = replace(g, **{name: value + u * (1.0 - value)})
+    for worse_out, better_out in (
+        (swap_chain_fidelity(f, l, g), swap_chain_fidelity(f, l, better)),
+        (purify_noisy(f, g), purify_noisy(f, better)),
+    ):
+        assert in_range(worse_out) and in_range(better_out)
+        assert worse_out <= better_out + ULP_SLACK
+    p_worse = purify_success_probability(f, g)
+    p_better = purify_success_probability(f, better)
+    assert 0.0 < p_worse <= 1.0 and 0.0 < p_better <= 1.0
+    assert p_worse <= p_better + ULP_SLACK
 
 
 memories = st.one_of(
@@ -269,3 +295,109 @@ def test_mixed_qubit_insertion_matches_kron_reference(n_old, data):
     expected = grown.reshape([2] * (2 * n)).transpose(owner + [q + n for q in owner])
     expected = expected.reshape(2**n, 2**n)
     assert np.max(np.abs(_insert_mixed_qubit(rho, position) - expected)) <= CONTRACTION_TOL
+
+
+
+#: Values a key is tried with besides its in-range ones: the edges of the
+#: float range, non-finite values, text that is no number, and nothing.
+edge_values = st.sampled_from(
+    ("0", "1", "-1", "0.25", "1e308", "5e-324", "1e-310", "nan", "inf", "-inf", "")
+) | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+
+
+def floats_between(low, high):
+    return st.floats(low, high).map(repr)
+
+
+def ints_between(low, high):
+    return st.integers(low, high).map(str)
+
+
+def optional_keys(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+#: In-range values of every section the CLI reads.  The work of a run grows
+#: with ``l**n`` links, ``m**epp_rounds_per_level`` pairs per round and the
+#: sweep's ``stop``, so those keys are bounded where one run takes
+#: milliseconds.
+SECTIONS = {
+    "chain": optional_keys(
+        l=ints_between(2, 8),
+        n=ints_between(0, 40),
+        m=ints_between(2, 5),
+        epp_rounds_per_level=ints_between(0, 4),
+        c_es=floats_between(0.0, 4.0),
+        c_epp=floats_between(0.0, 4.0),
+    ),
+    "link": optional_keys(
+        d_km=floats_between(0.1, 100.0),
+        f0=floats_between(0.25, 1.0),
+        alpha_db_per_km=floats_between(0.0, 1.0),
+        c_signal_km_s=floats_between(1e4, 3e5),
+    ),
+    "gates": optional_keys(**{key: floats_between(0.8, 1.0) for key in ("p1", "p2", "eta")}),
+    # An exponential memory needs tau_s and no other mode takes it; edge
+    # values break that rule too.
+    "memory": optional_keys(mode=st.sampled_from(("none", "gaussian")))
+    | st.fixed_dictionaries(
+        {"mode": st.just("exponential"), "tau_s": floats_between(1e-6, 1.0)}
+    ),
+    "sweep": optional_keys(
+        start=ints_between(0, 40), stop=ints_between(0, 40), step=ints_between(1, 40)
+    ),
+    "rate": optional_keys(f_useful=floats_between(0.0, 1.0)),
+    "query": optional_keys(f=floats_between(0.0, 1.0)),
+}
+
+#: Where an edge value can go: any ``[section] key`` the CLI accepts, or a
+#: key that the section does not know.
+EDGE_SLOTS = [
+    (name, key) for name, keys in _SECTION_KEYS.items() for key in [*keys, "unknown"]
+]
+
+
+@st.composite
+def config_files(draw):
+    """INI text with some keys set in range and up to three set to an edge
+    value; few enough edges that a third of the files get past the config
+    checks and reach the analysis."""
+    sections = {name: draw(section) for name, section in SECTIONS.items()}
+    for name, key in draw(st.lists(st.sampled_from(EDGE_SLOTS), max_size=3, unique=True)):
+        sections[name][key] = draw(edge_values)
+    lines = []
+    for name, values in sections.items():
+        if values:
+            lines.append(f"[{name}]")
+            lines += [f"{key} = {value}" for key, value in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+CLI_COMMANDS = ("fixed-points", "purify", "swap", "trace", "threshold", "rate-sweep")
+
+
+@PROPERTY
+@given(config_files())
+@example("[query]\nf = 1.5\n")
+@example("[link]\nc_signal_km_s = 1e-310\n")
+@example("[link]\nd_km = 1e308\n")
+@example("[chain]\nc_es = 1e308\nc_epp = 1e308\n"
+         "[memory]\nmode = exponential\ntau_s = 0.01\n")
+def test_cli_answers_any_config_with_a_clean_exit(text):
+    """Exit 0, 1 or 2 and no traceback; stderr holds one ``config error``
+    line exactly when the exit is 2, and nothing otherwise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in CLI_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--config", path, "--out",
+                             os.path.join(tmp, "out.csv")])
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert err.getvalue().startswith("config error: ")
+                assert err.getvalue().count("\n") == 1
+            else:
+                assert err.getvalue() == ""

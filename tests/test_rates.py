@@ -162,6 +162,13 @@ def test_scaling_fit_synthetic_exponential():
     assert fit.goodness >= 0.999
 
 
+def test_scaling_fit_of_points_too_close_to_square_is_insufficient():
+    # Offsets of a few 1e-322 km square to zero in floating point.
+    curve = curve_from_fn(lambda d: math.exp(-d), [k * 5e-324 for k in range(8, 14)])
+    with pytest.raises(InsufficientPointsError, match="too close together"):
+        scaling_fit(curve)
+
+
 def test_scaling_fit_window_and_minimum_points():
     distances = [100.0 * 2**k for k in range(8)]
     curve = curve_from_fn(lambda d: d**-1.5, distances)
