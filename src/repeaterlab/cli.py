@@ -105,8 +105,11 @@ def _convert(raw: str, section: str, key: str, kind):
 
 def load_run_config(path: str | None) -> RunConfig:
     """Parse a config file into validated domain objects (or pure defaults)."""
-    # Values are read literally: a '%' is text, not an interpolation.
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # Values are read literally: a '%' is text, not an interpolation.  No
+    # header spells the empty name, so [DEFAULT] is an ordinary section.
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), interpolation=None, default_section=""
+    )
     if path is not None:
         try:
             found = cp.read(path)
@@ -236,11 +239,10 @@ def cmd_rate_sweep(run: RunConfig, args) -> int:
 
 def cmd_oracle_check(run: RunConfig, args) -> int:
     # The oracle is the only numpy user; other subcommands skip its import.
-    import numpy as np
-
     from .dmsim import map_deviations
 
-    fidelities = [float(f) for f in np.linspace(0.3, 1.0, 15)]
+    # The 15 points of numpy.linspace(0.3, 1.0, 15), bit for bit.
+    fidelities = [0.3 + i * ((1.0 - 0.3) / 14) for i in range(14)] + [1.0]
     triples = (
         (1.0, 1.0, 1.0),
         (0.99, 0.99, 0.99),

@@ -402,30 +402,19 @@ def epp_oracle(f: float, g: GateNoiseParams) -> EppResult:
     return EppResult(kept / success, success)
 
 
-def map_deviations(
-    fidelities,
-    noise_params,
-    *,
-    swap_map=None,
-    purify_map=None,
-    purify_success_map=None,
-) -> dict:
+def map_deviations(fidelities, noise_params, *, swap_map=None) -> dict:
     """Worst absolute disagreement between circuits and closed-form maps.
 
     Runs both reference circuits over the fidelity x noise grid and compares
-    against the supplied maps (defaulting to the package's own).  Returns the
-    maxima keyed by ``swap``, ``purify`` and ``purify_success``.  The map
-    arguments exist so a deliberately wrong formula can be fed in to confirm
-    the comparison actually discriminates.
+    against the package's own maps.  Returns the maxima keyed by ``swap``,
+    ``purify`` and ``purify_success``.  ``swap_map`` replaces the swap map,
+    so a deliberately wrong formula can be fed in to confirm the comparison
+    actually discriminates.
     """
     from .werner import purify_noisy, purify_success_probability, swap_chain_fidelity
 
     if swap_map is None:
         swap_map = swap_chain_fidelity
-    if purify_map is None:
-        purify_map = purify_noisy
-    if purify_success_map is None:
-        purify_success_map = purify_success_probability
     worst = {"swap": 0.0, "purify": 0.0, "purify_success": 0.0}
     for g in noise_params:
         for f in fidelities:
@@ -435,10 +424,10 @@ def map_deviations(
             )
             purified = epp_oracle(f, g)
             worst["purify"] = max(
-                worst["purify"], abs(purified.f_out - purify_map(f, g))
+                worst["purify"], abs(purified.f_out - purify_noisy(f, g))
             )
             worst["purify_success"] = max(
                 worst["purify_success"],
-                abs(purified.success_probability - purify_success_map(f, g)),
+                abs(purified.success_probability - purify_success_probability(f, g)),
             )
     return worst

@@ -71,10 +71,6 @@ class GateNoiseParams:
     def ideal(cls) -> "GateNoiseParams":
         return cls(1.0, 1.0, 1.0)
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.p1 == 1.0 and self.p2 == 1.0 and self.eta == 1.0
-
 
 def werner_weight(f: float) -> float:
     """Weight of the target Bell projector in the Werner decomposition, (4f-1)/3."""

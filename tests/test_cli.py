@@ -100,6 +100,20 @@ def test_unknown_section_is_a_config_error(capsys, tmp_path):
     assert "plumbing" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\n",
+    "[DEFAULT]\np2 = 0.5\n",
+    "[DEFAULT]\np2 = 0.9\n[gates]\np1 = 1\n",
+])
+def test_default_section_is_an_unknown_section(capsys, tmp_path, text):
+    """configparser's special [DEFAULT] neither vanishes nor leaks its keys
+    into the other sections."""
+    cfg = write(tmp_path, "default.ini", text)
+    code, out, err = run_cli(capsys, "fixed-points", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == "config error: unknown config section [DEFAULT]\n"
+
+
 def test_non_numeric_value_names_the_key(capsys, tmp_path):
     cfg = write(tmp_path, "bad.ini", "[gates]\np2 = fast\n")
     code, _, err = run_cli(capsys, "fixed-points", "--config", cfg)

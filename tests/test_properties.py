@@ -348,12 +348,17 @@ SECTIONS = {
     ),
     "rate": optional_keys(f_useful=floats_between(0.0, 1.0)),
     "query": optional_keys(f=floats_between(0.0, 1.0)),
+    # configparser's special section name, which the CLI must refuse like any
+    # unknown section; it gets keys only from an edge slot.
+    "DEFAULT": optional_keys(),
 }
 
-#: Where an edge value can go: any ``[section] key`` the CLI accepts, or a
-#: key that the section does not know.
+#: Where an edge value can go: any ``[section] key`` the CLI accepts, a key
+#: that the section does not know, or a key under [DEFAULT].
 EDGE_SLOTS = [
-    (name, key) for name, keys in _SECTION_KEYS.items() for key in [*keys, "unknown"]
+    (name, key)
+    for name, keys in {**_SECTION_KEYS, "DEFAULT": ("p2",)}.items()
+    for key in [*keys, "unknown"]
 ]
 
 

@@ -1,5 +1,6 @@
 """Rate curves, threshold location, scaling classification."""
 
+import importlib
 import math
 import os
 import random
@@ -364,14 +365,64 @@ def test_scaling_fit_matches_numpy_polyfit():
 
 
 def test_scalar_modules_do_not_import_numpy():
-    code = (
-        "import sys, repeaterlab, repeaterlab.werner, repeaterlab.noise, "
-        "repeaterlab.chain, repeaterlab.rates, repeaterlab.cli; "
-        "print('numpy' in sys.modules)"
-    )
+    """Checked in fresh interpreters, where nothing is imported yet: numpy
+    loads only with ``dmsim``, and the package root loads a module only when
+    that module or one of its names is first used."""
     src = Path(repeaterlab.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "False\n"
+
+    def fresh(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('repeaterlab.')))"
+    assert fresh(
+        "import sys, repeaterlab, repeaterlab.werner, repeaterlab.noise, "
+        "repeaterlab.chain, repeaterlab.rates, repeaterlab.cli; "
+        "print('numpy' in sys.modules)"
+    ) == "False\n"
+    assert fresh(f"import sys, repeaterlab; {loaded}") == "[]\n"
+    assert fresh(f"import sys, repeaterlab.werner; {loaded}") == "['repeaterlab.werner']\n"
+    assert fresh(
+        "import sys, repeaterlab; chain = repeaterlab.chain; "
+        "print(chain is sys.modules['repeaterlab.chain'], 'numpy' in sys.modules)"
+    ) == "True False\n"
+    assert fresh(
+        "import repeaterlab\n"
+        "try:\n    repeaterlab.no_such_name\n"
+        "except AttributeError as exc:\n    print(exc)"
+    ) == "module 'repeaterlab' has no attribute 'no_such_name'\n"
+
+
+#: The package's public names, frozen.
+PUBLIC_NAMES = [
+    "BellKind", "ChainConfig", "DEGENERACY_THRESHOLD", "EppResult", "EsResult",
+    "FidelityTrace", "FixedPoints", "GateNoiseParams", "InsufficientPointsError",
+    "LinkModel", "MeasurementBranch", "MemoryModel", "NoValidRangeError", "RateCurve",
+    "RatePoint", "RepeaterRate", "ScalingFit", "ScheduleRound", "ThresholdResult",
+    "TraceStep", "apply_one_qubit_noisy", "apply_two_qubit_noisy", "bell_state",
+    "build_schedule", "check_density_matrix", "classical_comm_time", "curves_from_csv",
+    "curves_to_csv", "direct_transmission_rate", "epp_oracle", "es_oracle",
+    "expand_operator", "expected_attempts", "fidelity_from_weight", "fidelity_to_bell",
+    "link_success_probability", "map_deviations", "measure_noisy", "memory_decay",
+    "partial_trace", "purification_fixed_points", "purify_ideal", "purify_noisy",
+    "purify_success_probability", "repeater_rate", "resource_count",
+    "resource_scaling_form", "round_time", "scaling_fit", "simulate_chain",
+    "swap_chain_fidelity", "sweep_rates", "threshold_distance", "trace_from_csv",
+    "trace_to_csv", "usefulness_weight", "validate_fidelity", "werner_state",
+    "werner_weight",
+]
+
+
+def test_package_names_are_their_modules_objects():
+    """Each public name is the object of the module that defines it, looked
+    up anew on every access rather than copied into the package."""
+    assert repeaterlab.__all__ == PUBLIC_NAMES
+    for module, names in repeaterlab._EXPORTS.items():
+        home = importlib.import_module(f"repeaterlab.{module}")
+        assert getattr(repeaterlab, module) is home
+        for name in names:
+            assert getattr(repeaterlab, name) is getattr(home, name)
+    assert not set(PUBLIC_NAMES) & set(vars(repeaterlab))
+    assert set(PUBLIC_NAMES) | set(repeaterlab._EXPORTS) <= set(dir(repeaterlab))

@@ -104,8 +104,6 @@ def test_validate_fidelity():
 
 
 def test_gate_noise_params_validation():
-    assert GateNoiseParams.ideal().is_ideal
-    assert not BASELINE.is_ideal
     with pytest.raises(ValueError):
         GateNoiseParams(p1=0.0, p2=1.0, eta=1.0)
     with pytest.raises(ValueError):
