@@ -1,15 +1,15 @@
 """Closed-form fidelity maps for Werner pairs under swapping and purification.
 
-A Werner pair with fidelity ``f`` is the rank-4 mixture that keeps weight
-``f`` on the target Bell state and spreads ``(1 - f)/3`` over the other
-three.  Everything in this module is plain scalar arithmetic on that one
-number; the density-matrix reference circuits live in :mod:`repeaterlab.dmsim`.
+A Werner pair with fidelity ``f`` keeps weight ``w = (4f - 1)/3`` on the
+target Bell state and the rest on the fully mixed state.  Swapping,
+purification and memory decay (:mod:`repeaterlab.noise`) all have the form
+``1/4 + (3/4) * (weight)``, so a weight in [0, 1] keeps the fidelity in
+[1/4, 1].  The density-matrix reference circuits live in :mod:`repeaterlab.dmsim`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 FIDELITY_TOL = 1e-12
@@ -63,9 +63,6 @@ class GateNoiseParams:
                 raise ValueError(f"{name} must lie in (0, 1], got {v!r}")
         if self.eta <= 0.5:
             raise ValueError(f"eta must exceed 0.5, got {self.eta!r}")
-        # Purification divides by p2^2; below this it leaves the normal floats.
-        if self.p2 * self.p2 < sys.float_info.min:
-            raise ValueError(f"p2 must be at least 1.5e-154, got {self.p2!r}")
 
     @classmethod
     def ideal(cls) -> "GateNoiseParams":
@@ -82,33 +79,33 @@ def fidelity_from_weight(w: float) -> float:
     return (1.0 + 3.0 * w) / 4.0
 
 
+def _gate_terms(g: GateNoiseParams) -> tuple[float, float]:
+    """``(q, c) = (p2^2, (2 eta - 1)^2)``, all that purification depends on."""
+    return g.p2 * g.p2, (2.0 * g.eta - 1.0) ** 2
+
+
 def _purify(f: float, g: GateNoiseParams) -> tuple[float, float]:
     """One purification round with unreliable gates and measurements.
 
-    Both input pairs carry fidelity ``f``.  Returns the fidelity of the kept
-    pair and the probability that the coincidence check keeps it:
+    Both input pairs carry fidelity ``f``, weight ``w = (4f - 1)/3``.  With
+    ``(q, c)`` from :func:`_gate_terms`, the kept pair's fidelity and the
+    probability that the coincidence check keeps it are
 
-        f_out  = (theta*phi + 2*eta*etab*xi + pi) / (theta*lam + 4*(2*eta*etab*xi + pi))
-        p_pass = p2^2 * (theta*lam + 4*(2*eta*etab*xi + pi))
+        f_out  = 1/4 + q (1 + c) w (1 + 2w) / (4 (1 + q c w^2))
+        p_pass = (1 + q c w^2) / 2
 
-    where ``fb = (1-f)/3``, ``phi = f^2 + fb^2``, ``xi = f*fb + fb^2``,
-    ``lam = f^2 + 2 f fb + 5 fb^2``, ``theta = eta^2 + etab^2`` and
-    ``pi = (1 - p2^2)/(8 p2^2)``.  Perfect gates give ``theta = 1`` and
-    ``etab = pi = 0``, so ``f_out = phi/lam`` and ``p_pass = lam`` exactly.
-    One-qubit reliability never enters (the circuit uses none).
+    This is the map of Dür et al. in Bell coefficients (``fb = (1-f)/3``,
+    ``phi = f^2 + fb^2``, ``lam = f^2 + 2 f fb + 5 fb^2``): the
+    flipped-readout and failed-gate terms cancel from
+    ``f_out - 1/4 = q (1 + c)(4 phi - lam) / (8 p_pass)``, and
+    ``4 phi - lam = (3f + fb) w = (1 + 2w) w``.  So 1/4 maps to exactly 1/4
+    and nothing above it falls below.  Perfect gates give ``f_out = phi/lam``
+    and ``p_pass = lam``; ``p1`` never enters (the circuit has no one-qubit gate).
     """
-    f = validate_fidelity(f)
-    eta, p2 = g.eta, g.p2
-    fb = (1.0 - f) / 3.0
-    phi = f * f + fb * fb
-    xi = f * fb + fb * fb
-    lam = f * f + 2.0 * f * fb + 5.0 * fb * fb
-    etab = 1.0 - eta
-    theta = eta * eta + etab * etab
-    pi = (1.0 - p2 * p2) / (8.0 * p2 * p2)
-    num = theta * phi + 2.0 * eta * etab * xi + pi
-    den = theta * lam + 4.0 * (2.0 * eta * etab * xi + pi)
-    return num / den, p2 * p2 * den
+    q, c = _gate_terms(g)
+    w = werner_weight(validate_fidelity(f))
+    den = 1.0 + q * c * w * w
+    return 0.25 + q * (1.0 + c) * w * (1.0 + 2.0 * w) / (4.0 * den), den / 2.0
 
 
 _IDEAL = GateNoiseParams()
@@ -172,14 +169,14 @@ class FixedPoints:
 def purification_fixed_points(g: GateNoiseParams) -> FixedPoints:
     """Fixed points of ``purify_noisy(., g)`` above the mixed state, in closed form.
 
-    The residual ``num(f) - f*den(f)`` of :func:`purify_noisy` is a cubic
-    with a root at ``f = 1/4``; dividing it out leaves
+    In the weight form of :func:`_purify`, ``f_out = f`` reads
+    ``q (1 + c)(1 + 2w) w = 3 (1 + q c w^2) w``.  Dropping the root ``w = 0``
+    (f = 1/4) and putting ``w = (4f - 1)/3`` leaves
 
-        A f^2 - (1 + A) f + (1 + 9*pi) = 0,    A = 2 - 4a = 2 (2 eta - 1)^2,
+        16 q c f^2 - 8 q (1 + 2c) f + (9 - q) = 0;
 
-    with ``a = 2 eta (1 - eta)`` and ``pi = (1 - p2^2)/(8 p2^2)``; ``p1``
-    does not enter.  Purification gains exactly between its two roots.  Both
-    roots exceed 1/4 (the quadratic is positive there and its vertex is at
+    ``p1`` does not enter.  Purification gains exactly between its two roots.
+    Both exceed 1/4 (the quadratic is positive there and its vertex is at
     ``f >= 3/4``); they come from the cancellation-safe form of the quadratic
     formula, and a root past 1 by at most ``FIDELITY_TOL`` is clamped to 1.
     Perfect gates give exactly (0.5, 1.0).  Raises :class:`NoValidRangeError`
@@ -187,15 +184,16 @@ def purification_fixed_points(g: GateNoiseParams) -> FixedPoints:
     (purification never helps), and reports ``marginal=True`` if the roots
     lie within 1e-9 of each other or only one is in range.
     """
-    lead = 2.0 * (2.0 * g.eta - 1.0) ** 2  # A
-    pi = (1.0 - g.p2 * g.p2) / (8.0 * g.p2 * g.p2)
-    # (1 + A)^2 - 4 A (1 + 9 pi), rearranged so that nothing cancels at p2 = 1.
-    disc = (lead - 1.0) ** 2 - 36.0 * pi * lead
+    q, c = _gate_terms(g)
+    # Discriminant over 64 q, q (1 + c)(1 + 4c) - 9c, with 1 - q written as
+    # (1 - p2)(1 + p2) so that nothing cancels at p2 = 1.
+    failed = (1.0 - g.p2) * (1.0 + g.p2)
+    disc = (2.0 * c - 1.0) ** 2 - failed * (1.0 + c) * (1.0 + 4.0 * c)
     if disc >= 0.0:
-        q = 0.5 * (1.0 + lead + math.sqrt(disc))
+        s = 4.0 * (q * (1.0 + 2.0 * c) + math.sqrt(q * disc))
         roots = [
             min(r, 1.0)
-            for r in ((1.0 + 9.0 * pi) / q, q / lead)
+            for r in ((9.0 - q) / s, s / (16.0 * q * c))
             if r <= 1.0 + FIDELITY_TOL
         ]
         if roots:

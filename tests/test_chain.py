@@ -283,7 +283,7 @@ def test_expected_attempts_walks_past_degeneracy():
     cfg = baseline_config(n=6, k=1)
     mem = MemoryModel.exponential(1e-7)
     assert len(simulate_chain(cfg, BASELINE, mem).steps) == 3
-    assert expected_attempts(cfg, BASELINE, mem) == 828972.1149471782
+    assert expected_attempts(cfg, BASELINE, mem) == 828972.1149471796
 
 
 def test_trace_csv_round_trip():

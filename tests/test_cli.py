@@ -85,6 +85,16 @@ def test_fixed_points_reports_missing_range(capsys, tmp_path):
     assert out.startswith("NoValidRange:")
 
 
+def test_two_qubit_gates_that_always_fail_are_accepted(capsys, tmp_path):
+    # p2**2 underflows to 0: the kept pair is fully mixed and never improves.
+    cfg = write(tmp_path, "dead_cnot.ini", "[gates]\np2 = 1e-200\n")
+    code, out, err = run_cli(capsys, "purify", "--config", cfg)
+    assert (code, out, err) == (0, "f_out=0.25 success_probability=0.5\n", "")
+    code, out, err = run_cli(capsys, "fixed-points", "--config", cfg)
+    assert (code, err) == (1, "")
+    assert out.startswith("NoValidRange:")
+
+
 def test_unknown_key_is_a_config_error(capsys, tmp_path):
     cfg = write(tmp_path, "bad.ini", "[gates]\nflux_capacitance = 3\n")
     code, out, err = run_cli(capsys, "fixed-points", "--config", cfg)

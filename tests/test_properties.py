@@ -37,29 +37,40 @@ from repeaterlab import (
 from repeaterlab.cli import _SECTION_KEYS, main
 from repeaterlab.dmsim import CNOT, H, X, Z, _insert_mixed_qubit, num_qubits
 
-PROPERTY = settings(max_examples=200, deadline=None)
+#: Example counts come from the profiles in ``conftest.py``.
+PROPERTY = settings(deadline=None)
 
-#: Rounding slack of a map's output: a few units in the last place of a
-#: fidelity.  At f = 1/4 purification returns 0.24999999999999997 for some
-#: gates, and neighbouring inputs can swap order by an ulp or two.
+#: Rounding slack of an order comparison only: the maps stay in [1/4, 1]
+#: exactly, but neighbouring inputs can swap order.  Over 200,000 seeded
+#: draws, edge-heavy in f, p2 and eta, ``purify_noisy(f) > purify_noisy(f')``
+#: for the next float ``f'`` above ``f`` in 2,352 of them, by at most 2.2e-16.
 ULP_SLACK = 1e-15
 
 unit = st.floats(0.0, 1.0, exclude_min=True)
 gates = st.builds(
     GateNoiseParams,
     p1=unit,
-    p2=st.floats(1.5e-154, 1.0),
+    p2=unit,
     eta=st.floats(0.5, 1.0, exclude_min=True),
 )
 fidelity = st.floats(0.25, 1.0)
 
+#: Gates at which rounding alone would set the sign of the purification gain
+#: at f = 1/4 unless 1/4 maps to itself exactly.
+BASELINE = GateNoiseParams(p1=0.999, p2=0.99, eta=0.995)
+ABOVE_FLOOR_GATES = GateNoiseParams(
+    p1=1.0, p2=0.9999999999999999, eta=0.8849302192997293
+)
+
 
 def in_range(f: float) -> bool:
-    return 0.25 - ULP_SLACK <= f <= 1.0 + ULP_SLACK
+    return 0.25 <= f <= 1.0
 
 
 @PROPERTY
 @given(gates, fidelity, fidelity)
+@example(BASELINE, 0.25, 0.25)
+@example(ABOVE_FLOOR_GATES, 0.25, 0.25)
 def test_purify_stays_physical_and_monotone(g, a, b):
     lo, hi = sorted((a, b))
     f_lo, f_hi = purify_noisy(lo, g), purify_noisy(hi, g)
@@ -70,6 +81,8 @@ def test_purify_stays_physical_and_monotone(g, a, b):
 
 @PROPERTY
 @given(gates, fidelity, fidelity, st.sampled_from((2, 3)))
+@example(BASELINE, 0.25, 0.25, 2)
+@example(ABOVE_FLOOR_GATES, 0.25, 0.25, 2)
 def test_swap_stays_physical_and_monotone(g, a, b, l):
     lo, hi = sorted((a, b))
     f_lo, f_hi = swap_chain_fidelity(lo, l, g), swap_chain_fidelity(hi, l, g)
@@ -144,10 +157,7 @@ def test_accepted_chains_round_trip_through_csv(g, mem, f0, d_km, l, n, m, k,
 
 #: Distance kept from the fixed points when checking where purification
 #: gains: the gain vanishes at the roots, so rounding decides right next to
-#: them.  Besides ``f_min`` and ``f_max`` the map fixes the fully mixed
-#: fidelity 1/4, the third root of its residual cubic, where rounding alone
-#: sets the sign: p2 = 0.9999999999999999, eta = 0.8849302192997293 gives
-#: ``purify_noisy(0.25) == 0.25000000000000006``.
+#: them.
 ROOT_MARGIN = 1e-9
 
 
@@ -163,6 +173,8 @@ purifiable_gates = st.builds(
 
 @PROPERTY
 @given(purifiable_gates, fidelity, st.floats(0.0, 1.0))
+@example(BASELINE, 0.25, 0.0)
+@example(ABOVE_FLOOR_GATES, 0.25, 0.0)
 def test_purification_gains_exactly_inside_its_interval(g, f, u):
     try:
         fp = purification_fixed_points(g)
@@ -173,10 +185,7 @@ def test_purification_gains_exactly_inside_its_interval(g, f, u):
     for point in (f, inside):
         if fp.f_min + ROOT_MARGIN < point < fp.f_max - ROOT_MARGIN:
             assert purify_noisy(point, g) > point
-        elif (
-            0.25 + ROOT_MARGIN <= point <= fp.f_min - ROOT_MARGIN
-            or point >= fp.f_max + ROOT_MARGIN
-        ):
+        elif point <= fp.f_min - ROOT_MARGIN or point >= fp.f_max + ROOT_MARGIN:
             assert purify_noisy(point, g) <= point
 
 

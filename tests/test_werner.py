@@ -28,6 +28,11 @@ SWAP_L3_AT_0P96 = 0.8862862222222222
 BASELINE = GateNoiseParams(p1=0.999, p2=0.99, eta=0.995)
 BASELINE_F_MIN = 0.5352241580492108
 BASELINE_F_MAX = 0.974927867254451
+#: Besides BASELINE, gates at which rounding alone would set the sign of the
+#: purification gain at f = 1/4 unless 1/4 maps to itself exactly.
+ABOVE_FLOOR_GATES = GateNoiseParams(
+    p1=1.0, p2=0.9999999999999999, eta=0.8849302192997293
+)
 
 
 def hp_purify_ideal(f):
@@ -110,9 +115,12 @@ def test_gate_noise_params_validation():
         GateNoiseParams(p1=1.0, p2=1.1, eta=1.0)
     with pytest.raises(ValueError):
         GateNoiseParams(p1=1.0, p2=1.0, eta=0.5)  # readout no better than a coin
-    with pytest.raises(ValueError):
-        GateNoiseParams(p1=1.0, p2=1e-200, eta=1.0)  # p2**2 underflows
-    assert purify_noisy(0.5, GateNoiseParams(p1=1.0, p2=1.5e-154, eta=1.0)) == 0.25
+    # p2**2 underflows to 0: every CNOT pair fails and the kept pair is mixed.
+    g = GateNoiseParams(p1=1.0, p2=1e-200, eta=1.0)
+    assert purify_noisy(0.5, g) == 0.25
+    assert purify_success_probability(0.5, g) == 0.5
+    with pytest.raises(NoValidRangeError):
+        purification_fixed_points(g)
 
 
 def test_purify_ideal_frozen_value():
@@ -166,6 +174,13 @@ def test_purify_success_probability():
             s = purify_success_probability(f, g)
             assert 0.0 < s <= 1.0 + 1e-12
             assert s == pytest.approx(hp_purify_success(f, g), abs=1e-13)
+
+
+@pytest.mark.parametrize("g", NOISE_GRID + [ABOVE_FLOOR_GATES])
+def test_fully_mixed_pair_is_an_exact_fixed_point(g):
+    assert purify_noisy(0.25, g) == 0.25
+    for l in (1, 2, 3, 5):
+        assert swap_chain_fidelity(0.25, l, g) == 0.25
 
 
 def test_swap_chain_frozen_values():
