@@ -189,7 +189,8 @@ def purification_fixed_points(g: GateNoiseParams) -> FixedPoints:
     # (1 - p2)(1 + p2) so that nothing cancels at p2 = 1.
     failed = (1.0 - g.p2) * (1.0 + g.p2)
     disc = (2.0 * c - 1.0) ** 2 - failed * (1.0 + c) * (1.0 + 4.0 * c)
-    if disc >= 0.0:
+    # q c underflows to 0 only for q < 1e-290: the lower root is then past 1e144.
+    if disc >= 0.0 and 16.0 * q * c > 0.0:
         s = 4.0 * (q * (1.0 + 2.0 * c) + math.sqrt(q * disc))
         roots = [
             min(r, 1.0)

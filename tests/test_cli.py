@@ -85,9 +85,10 @@ def test_fixed_points_reports_missing_range(capsys, tmp_path):
     assert out.startswith("NoValidRange:")
 
 
-def test_two_qubit_gates_that_always_fail_are_accepted(capsys, tmp_path):
+@pytest.mark.parametrize("eta", ["1.0", "0.500000001"])
+def test_two_qubit_gates_that_always_fail_are_accepted(capsys, tmp_path, eta):
     # p2**2 underflows to 0: the kept pair is fully mixed and never improves.
-    cfg = write(tmp_path, "dead_cnot.ini", "[gates]\np2 = 1e-200\n")
+    cfg = write(tmp_path, "dead_cnot.ini", f"[gates]\np2 = 1e-200\neta = {eta}\n")
     code, out, err = run_cli(capsys, "purify", "--config", cfg)
     assert (code, out, err) == (0, "f_out=0.25 success_probability=0.5\n", "")
     code, out, err = run_cli(capsys, "fixed-points", "--config", cfg)
@@ -338,6 +339,38 @@ def test_rate_sweep_baseline_stdout_golden(capsys, tmp_path):
                              str(tmp_path / "rates.csv"))
     assert (code, err) == (0, "")
     assert out == BASELINE_RATE_SWEEP_STDOUT
+
+
+#: TRACE_INI's deepest chains end 1.0e-7 above 1/4 (6400 km, perfect memory)
+#: and 8.5e-10 above it (1600 km, noisy memory).  There one ulp of fidelity
+#: is 5.5e-10 and 6.5e-8 of the Werner weight, so the trailing digits of these
+#: rates, and of the fits through them, are rounding noise of the walk.  They
+#: are frozen so that any change to them shows.
+TRACE_RATE_SWEEP_FITS = [
+    "fit regime=direct metric=resource_normalized kind=exponential parameter=0.0460517018599 goodness=1",
+    "fit regime=repeater_ideal_memory metric=resource_normalized kind=exponential parameter=0.0061487539478 goodness=0.992335306843",
+    "fit regime=repeater_ideal_memory metric=time_normalized kind=exponential parameter=0.00566740558343 goodness=0.996401813339",
+]
+TRACE_RATE_SWEEP_DEEPEST_ROWS = [
+    "6400,2.76157586883e-19,resource_normalized,repeater_ideal_memory",
+    "6400,9.46314437331e-14,time_normalized,repeater_ideal_memory",
+    "1600,3.12151078407e-22,resource_normalized,repeater_noisy_memory",
+    "1600,2.7059699834e-17,time_normalized,repeater_noisy_memory",
+]
+
+
+def test_rate_sweep_near_the_mixed_state_is_frozen(capsys, tmp_path):
+    cfg = write(tmp_path, "trace.ini", TRACE_INI)
+    out_path = tmp_path / "rates.csv"
+    code, out, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
+                             str(out_path))
+    # Four noisy-memory points are too few for a fit: exit 1, CSV written.
+    assert (code, err) == (1, "")
+    assert [ln for ln in out.splitlines() if ln.startswith("fit ")] == (
+        TRACE_RATE_SWEEP_FITS
+    )
+    rows = out_path.read_text(encoding="utf-8").splitlines()
+    assert set(TRACE_RATE_SWEEP_DEEPEST_ROWS) <= set(rows)
 
 
 def test_rate_sweep_with_too_few_points(capsys, tmp_path):

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repeaterlab import (
@@ -36,9 +36,7 @@ from repeaterlab import (
 )
 from repeaterlab.cli import _SECTION_KEYS, main
 from repeaterlab.dmsim import CNOT, H, X, Z, _insert_mixed_qubit, num_qubits
-
-#: Example counts come from the profiles in ``conftest.py``.
-PROPERTY = settings(deadline=None)
+from test_werner import ABOVE_FLOOR_GATES, BASELINE
 
 #: Rounding slack of an order comparison only: the maps stay in [1/4, 1]
 #: exactly, but neighbouring inputs can swap order.  Over 200,000 seeded
@@ -55,19 +53,11 @@ gates = st.builds(
 )
 fidelity = st.floats(0.25, 1.0)
 
-#: Gates at which rounding alone would set the sign of the purification gain
-#: at f = 1/4 unless 1/4 maps to itself exactly.
-BASELINE = GateNoiseParams(p1=0.999, p2=0.99, eta=0.995)
-ABOVE_FLOOR_GATES = GateNoiseParams(
-    p1=1.0, p2=0.9999999999999999, eta=0.8849302192997293
-)
-
 
 def in_range(f: float) -> bool:
     return 0.25 <= f <= 1.0
 
 
-@PROPERTY
 @given(gates, fidelity, fidelity)
 @example(BASELINE, 0.25, 0.25)
 @example(ABOVE_FLOOR_GATES, 0.25, 0.25)
@@ -79,7 +69,6 @@ def test_purify_stays_physical_and_monotone(g, a, b):
     assert 0.0 < purify_success_probability(lo, g) <= 1.0
 
 
-@PROPERTY
 @given(gates, fidelity, fidelity, st.sampled_from((2, 3)))
 @example(BASELINE, 0.25, 0.25, 2)
 @example(ABOVE_FLOOR_GATES, 0.25, 0.25, 2)
@@ -90,7 +79,6 @@ def test_swap_stays_physical_and_monotone(g, a, b, l):
     assert f_lo <= f_hi + ULP_SLACK
 
 
-@PROPERTY
 @given(gates, st.sampled_from(("p1", "p2", "eta")), st.floats(0.0, 1.0), fidelity,
        st.sampled_from((2, 3)))
 def test_maps_are_monotone_in_each_gate_parameter(g, name, u, f, l):
@@ -116,7 +104,6 @@ memories = st.one_of(
 )
 
 
-@PROPERTY
 @given(
     g=gates,
     mem=memories,
@@ -171,7 +158,6 @@ purifiable_gates = st.builds(
 )
 
 
-@PROPERTY
 @given(purifiable_gates, fidelity, st.floats(0.0, 1.0))
 @example(BASELINE, 0.25, 0.0)
 @example(ABOVE_FLOOR_GATES, 0.25, 0.0)
@@ -187,6 +173,17 @@ def test_purification_gains_exactly_inside_its_interval(g, f, u):
             assert purify_noisy(point, g) > point
         elif point <= fp.f_min - ROOT_MARGIN or point >= fp.f_max + ROOT_MARGIN:
             assert purify_noisy(point, g) <= point
+
+
+@given(gates)
+@example(GateNoiseParams(p1=1.0, p2=1e-200, eta=0.500000001))
+@example(GateNoiseParams(p1=1.0, p2=1e-155, eta=0.500000001))
+def test_fixed_points_are_found_or_refused_for_any_gates(g):
+    try:
+        fp = purification_fixed_points(g)
+    except NoValidRangeError:
+        return
+    assert 0.25 < fp.f_min <= fp.f_max <= 1.0
 
 
 #: The oracle's contraction paths must equal the embedded-operator reference
@@ -223,7 +220,6 @@ def gate_on_state(draw):
     return random_state(rng, n), targets, op
 
 
-@PROPERTY
 @given(gate_on_state())
 def test_gate_contraction_matches_embedded_operator(case):
     rho, targets, op = case
@@ -243,7 +239,6 @@ PAULIS = (np.eye(2, dtype=complex), X, 1j * X @ Z, Z)
 FOUR_QUBITS = random_state(np.random.default_rng(7), 4)
 
 
-@PROPERTY
 @given(gate_on_state(), st.floats(0.0, 1.0))
 @example((FOUR_QUBITS, (1,), H), 0.0)
 @example((FOUR_QUBITS, (0, 2), CNOT), 0.0)
@@ -266,7 +261,6 @@ def test_gate_failure_matches_pauli_twirl(case, p):
     assert np.max(np.abs(got - expected)) <= CONTRACTION_TOL
 
 
-@PROPERTY
 @given(gate_on_state(), st.floats(0.5, 1.0, exclude_min=True))
 def test_measurement_branches_match_projector_reference(case, eta):
     rho, targets, _ = case
@@ -289,7 +283,6 @@ def test_measurement_branches_match_projector_reference(case, eta):
         assert np.max(np.abs(b.state - state)) <= CONTRACTION_TOL
 
 
-@PROPERTY
 @given(st.integers(0, 4), st.data())
 def test_mixed_qubit_insertion_matches_kron_reference(n_old, data):
     rng = np.random.default_rng(data.draw(seeds))
@@ -390,7 +383,6 @@ def config_files(draw):
 CLI_COMMANDS = ("fixed-points", "purify", "swap", "trace", "threshold", "rate-sweep")
 
 
-@PROPERTY
 @given(config_files())
 @example("[query]\nf = 1.5\n")
 @example("[link]\nc_signal_km_s = 1e-310\n")

@@ -28,7 +28,7 @@ SWAP_L3_AT_0P96 = 0.8862862222222222
 BASELINE = GateNoiseParams(p1=0.999, p2=0.99, eta=0.995)
 BASELINE_F_MIN = 0.5352241580492108
 BASELINE_F_MAX = 0.974927867254451
-#: Besides BASELINE, gates at which rounding alone would set the sign of the
+#: Gates at which, besides BASELINE, rounding alone would set the sign of the
 #: purification gain at f = 1/4 unless 1/4 maps to itself exactly.
 ABOVE_FLOOR_GATES = GateNoiseParams(
     p1=1.0, p2=0.9999999999999999, eta=0.8849302192997293
@@ -119,8 +119,11 @@ def test_gate_noise_params_validation():
     g = GateNoiseParams(p1=1.0, p2=1e-200, eta=1.0)
     assert purify_noisy(0.5, g) == 0.25
     assert purify_success_probability(0.5, g) == 0.5
-    with pytest.raises(NoValidRangeError):
-        purification_fixed_points(g)
+    # With readout this close to a coin, p2**2 * c underflows too (both p2).
+    for g in (g, GateNoiseParams(p1=1.0, p2=1e-200, eta=0.500000001),
+              GateNoiseParams(p1=1.0, p2=1e-155, eta=0.500000001)):
+        with pytest.raises(NoValidRangeError):
+            purification_fixed_points(g)
 
 
 def test_purify_ideal_frozen_value():
