@@ -13,6 +13,7 @@ reduces to composing the closed-form maps from :mod:`repeaterlab.werner` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .noise import (
@@ -31,6 +32,10 @@ from .werner import (
 )
 
 _INT64_MAX = 2**63 - 1
+#: Most elementary links :func:`build_schedule` lays out.  A schedule holds
+#: about ``2 * l**n`` station indices; the paper's chains and every test use
+#: at most ``4**5``.
+MAX_SCHEDULE_LINKS = 2**16
 
 STAGES = ("init", "after_es", "after_memory", "after_epp")
 
@@ -97,8 +102,15 @@ def build_schedule(cfg: ChainConfig) -> list[ScheduleRound]:
     At level ``x`` the stations at interior multiples of ``l**(x-1)`` that are
     not multiples of ``l**x`` perform a swap; the interior multiples of
     ``l**x`` purify the pairs that now terminate there.  The endpoints (0 and
-    N) never act.
+    N) never act.  Raises ``ValueError`` for more than
+    :data:`MAX_SCHEDULE_LINKS` elementary links.
     """
+    # With l >= 2, a depth past log2 of the bound exceeds it; testing that
+    # first never computes l**n for a huge n.
+    if cfg.n >= MAX_SCHEDULE_LINKS.bit_length() or cfg.checkpoints > MAX_SCHEDULE_LINKS:
+        raise ValueError(
+            f"schedule of {cfg.l}**{cfg.n} links exceeds {MAX_SCHEDULE_LINKS} links"
+        )
     n_links = cfg.checkpoints
     rounds = []
     for x in range(1, cfg.n + 1):
@@ -275,7 +287,17 @@ def trace_to_csv(trace: FidelityTrace) -> str:
 
     A fidelity within rounding of the degeneracy floor is written in full,
     so the flag :func:`trace_from_csv` re-derives from it stays exact.
+    Raises ``OverflowError``, before any row is built, when a pair count has
+    more digits than Python converts to text (``sys.get_int_max_str_digits``).
     """
+    largest = max((abs(s.pairs_consumed) for s in trace.steps), default=0)
+    try:
+        str(largest)  # refuses exactly the ints with more digits than the limit
+    except ValueError:
+        raise OverflowError(
+            f"pair count of about 2**{largest.bit_length()} has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     lines = ["level,stage,fidelity,elapsed_seconds,pairs_consumed"]
     for s in trace.steps:
         lines.append(

@@ -14,6 +14,13 @@ of the target's row and column axes, and a fresh mixed qubit is an outer
 product with ``I/2``.  :func:`expand_operator` builds the full embedded operator
 explicitly; the oracles never call it, and it is the reference the
 contraction paths are tested against.
+
+The primitives keep their per-call cost low without changing a bit of
+their arithmetic.  Shape and position checks run once per (matrix shape,
+operator shape, positions, position types) and are memoized after that.
+The Bell vectors, their conjugates and their projectors are built once, at
+import, and are read-only, as is ``I2``.  A correction that is the
+identity ``I2`` copies the state instead of contracting it.
 """
 
 from __future__ import annotations
@@ -62,15 +69,37 @@ _BELL_VECTORS = {
     BellKind.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT_HALF,
     BellKind.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _SQRT_HALF,
 }
+_BELL_BRAS = {kind: v.conj() for kind, v in _BELL_VECTORS.items()}
+_BELL_PROJECTORS = {kind: np.outer(v, v.conj()) for kind, v in _BELL_VECTORS.items()}
+#: The state a depolarized qubit is replaced by.
+_HALF_I2 = I2 / 2.0
+# The primitives use these without copying, and apply_one_qubit_noisy treats
+# ``op is I2`` as the identity, so none of them may change.
+for _constant in (
+    I2, _HALF_I2,
+    *_BELL_VECTORS.values(), *_BELL_BRAS.values(), *_BELL_PROJECTORS.values(),
+):
+    _constant.flags.writeable = False
+del _constant
+
+#: Bound on each memoized check below.  Only keys that pass are stored, and
+#: the oracles use a few dozen.
+_CHECK_CACHE_SIZE = 1024
 
 
 def num_qubits(rho: np.ndarray) -> int:
     """Qubit count of a square matrix whose dimension is a power of two."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    n = int(round(math.log2(rho.shape[0])))
-    if 2**n != rho.shape[0]:
-        raise ValueError(f"dimension {rho.shape[0]} is not a power of two")
+    return _shape_qubits(rho.shape)
+
+
+@functools.lru_cache(maxsize=_CHECK_CACHE_SIZE)
+def _shape_qubits(shape: tuple[int, ...]) -> int:
+    """:func:`num_qubits` of a matrix of this shape, checked once per shape."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    n = int(round(math.log2(shape[0])))
+    if 2**n != shape[0]:
+        raise ValueError(f"dimension {shape[0]} is not a power of two")
     return n
 
 
@@ -93,46 +122,54 @@ def check_density_matrix(rho: np.ndarray) -> None:
 
 def bell_state(kind: BellKind) -> np.ndarray:
     """Density matrix of one Bell state."""
-    v = kind.vector
-    return np.outer(v, v.conj())
+    return _BELL_PROJECTORS[kind].copy()
 
 
 def werner_state(f: float) -> np.ndarray:
     """Werner pair: weight ``f`` on phi+, ``(1-f)/3`` on each other Bell state."""
     f = validate_fidelity(f)
     rest = (1.0 - f) / 3.0
-    rho = f * bell_state(BellKind.PHI_PLUS)
-    for kind in (BellKind.PHI_MINUS, BellKind.PSI_PLUS, BellKind.PSI_MINUS):
-        rho += rest * bell_state(kind)
-    return rho
+    phi_plus, phi_minus, psi_plus, psi_minus = _BELL_PROJECTORS.values()
+    return f * phi_plus + rest * phi_minus + rest * psi_plus + rest * psi_minus
 
 
 def fidelity_to_bell(rho: np.ndarray, kind: BellKind = BellKind.PHI_PLUS) -> float:
     """Overlap <bell| rho |bell> of a two-qubit state with a Bell state."""
     if num_qubits(rho) != 2:
         raise ValueError("fidelity_to_bell expects a two-qubit state")
-    v = kind.vector
-    return float(np.real(v.conj() @ rho @ v))
+    return float(np.real(_BELL_BRAS[kind] @ rho @ _BELL_VECTORS[kind]))
 
 
-def _check_positions(positions: tuple[int, ...], n: int) -> None:
-    """Raise unless ``positions`` are distinct integer qubit indices in ``range(n)``.
+def _check_targets(shape: tuple[int, ...] | None, positions, n: int) -> None:
+    """Raise unless ``positions`` are distinct integer qubit indices in
+    ``range(n)`` and, unless ``shape`` is ``None``, an operator of that shape
+    acts on ``len(positions)`` qubits.
 
-    Negative indices are rejected too: an einsum subscript or slice would
-    silently read ``-1`` as the last qubit.
+    Each key is checked once.  It holds each position's type beside its
+    value: ``(1.0, 2)`` equals and hashes like ``(1, 2)``, so a cache keyed
+    on values alone would pass the float once the int had passed.  A
+    position that cannot be hashed is no qubit index either.
     """
+    key = tuple(positions)
+    try:
+        _check_targets_once(shape, key, tuple(map(type, key)), n)
+    except TypeError:
+        raise ValueError(f"positions {key} invalid for {n} qubits") from None
+
+
+@functools.lru_cache(maxsize=_CHECK_CACHE_SIZE)
+def _check_targets_once(
+    shape: tuple[int, ...] | None, positions: tuple, types: tuple[type, ...], n: int
+) -> None:
+    k = len(positions)
+    if shape is not None and shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {shape} does not match {k} qubits")
+    # Negative indices are rejected too: an einsum subscript or slice would
+    # silently read ``-1`` as the last qubit.
     if len(set(positions)) != len(positions) or not all(
         isinstance(q, numbers.Integral) and 0 <= q < n for q in positions
     ):
         raise ValueError(f"positions {positions} invalid for {n} qubits")
-
-
-def _check_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> None:
-    """Raise unless ``op`` is a ``len(positions)``-qubit operator on valid positions."""
-    k = len(positions)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
-    _check_positions(positions, n)
 
 
 def expand_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.ndarray:
@@ -141,7 +178,7 @@ def expand_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.nd
     ``positions[0]`` is the first tensor factor of ``op``.  Positions must be
     distinct and in range.
     """
-    _check_operator(op, positions, n)
+    _check_targets(op.shape, positions, n)
     k = len(positions)
     rest = [q for q in range(n) if q not in positions]
     slot_owner = list(positions) + rest
@@ -171,17 +208,17 @@ def _left_subscripts(n: int, targets: tuple[int, ...]) -> str:
     return f"{fresh}{summed},{rows}{cols}->{''.join(out)}{cols}"
 
 
-def _conjugate(rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+def _conjugate(
+    rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int
+) -> np.ndarray:
     """``U rho U^H`` for ``op`` acting on ``targets``, by tensor contraction.
 
-    The right factor is applied as ``U rho U^H = (U (U rho)^H)^H``, so both
-    contractions sum over row axes.  With the column axes innermost in
-    memory, einsum runs a row-side contraction about three times as fast as
-    the same contraction on the column side (four qubits).
+    The caller has checked ``op`` and ``targets`` against the ``n`` qubits
+    of ``rho``.  The right factor is applied as ``U rho U^H = (U (U
+    rho)^H)^H``, so both contractions sum over row axes.  With the column
+    axes innermost in memory, einsum runs a row-side contraction about three
+    times as fast as the same contraction on the column side (four qubits).
     """
-    n = num_qubits(rho)
-    targets = tuple(targets)
-    _check_operator(op, targets, n)
     subscripts = _left_subscripts(n, targets)
     gate = op.reshape((2,) * (2 * len(targets)))
     tensor_shape = (2,) * (2 * n)
@@ -195,7 +232,7 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every qubit not listed in ``keep`` (order preserved, sorted)."""
     n = num_qubits(rho)
     keep = tuple(keep)
-    _check_positions(keep, n)
+    _check_targets(None, keep, n)
     if list(keep) != sorted(keep):
         raise ValueError(f"keep indices must be sorted, got {keep!r}")
     tensor = rho.reshape([2] * (2 * n))
@@ -216,7 +253,7 @@ def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
 def _insert_mixed_qubit(rho: np.ndarray, position: int) -> np.ndarray:
     """Tensor a fresh maximally mixed qubit into ``rho`` at ``position``."""
     n = num_qubits(rho) + 1
-    grown = np.multiply.outer(rho.reshape((2,) * (2 * n - 2)), I2 / 2.0)
+    grown = np.multiply.outer(rho.reshape((2,) * (2 * n - 2)), _HALF_I2)
     # The new qubit's row and column axes come last; move them to ``position``
     # and ``n + position``.  A plain transpose costs less than np.moveaxis,
     # which normalises its axis arguments on every call.
@@ -233,11 +270,14 @@ def apply_one_qubit_noisy(
 
     With probability ``p1`` the ideal ``op`` acts on ``target``; otherwise the
     target qubit is discarded and replaced by a maximally mixed one in place.
+    For ``op is I2`` the ideal part is a copy of ``rho``: contracting the
+    identity would compute ``1*x + 0*y == x`` for every entry.
     """
-    ideal = _conjugate(rho, op, (target,))
+    n = num_qubits(rho)
+    _check_targets(op.shape, (target,), n)
+    ideal = rho.copy() if op is I2 else _conjugate(rho, op, (target,), n)
     if p1 == 1.0:
         return ideal
-    n = num_qubits(rho)
     others = tuple(q for q in range(n) if q != target)
     stripped = partial_trace(rho, others)
     return p1 * ideal + (1.0 - p1) * _insert_mixed_qubit(stripped, target)
@@ -247,10 +287,12 @@ def apply_two_qubit_noisy(
     rho: np.ndarray, targets: tuple[int, int], op: np.ndarray, p2: float
 ) -> np.ndarray:
     """Depolarizing two-qubit operation; failure replaces both targets by I/4."""
-    ideal = _conjugate(rho, op, targets)
+    n = num_qubits(rho)
+    targets = tuple(targets)
+    _check_targets(op.shape, targets, n)
+    ideal = _conjugate(rho, op, targets, n)
     if p2 == 1.0:
         return ideal
-    n = num_qubits(rho)
     others = tuple(q for q in range(n) if q not in targets)
     stripped = partial_trace(rho, others)
     lo, hi = sorted(targets)
@@ -277,30 +319,32 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     if not 0.5 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0.5, 1], got {eta!r}")
     n = num_qubits(rho)
-    _check_positions((target,), n)
+    _check_targets(None, (target,), n)
     # Row and column index each split around the target qubit's axis; the
     # projection onto |v> keeps the block where both of those axes read v.
     split = (2**target, 2, 2 ** (n - target - 1))
     tensor = rho.reshape(split + split)
-    diagonal = np.real(np.diagonal(rho)).reshape(split)
-    weights = []
-    for v in (0, 1):
-        # Zero the other value's entries rather than slicing them away, so
-        # the sum runs over the whole diagonal in the order np.trace uses.
-        masked = diagonal.copy()
-        masked[:, 1 - v, :] = 0.0
-        weights.append(float(masked.sum()))
+    # Row v of ``masked`` is the diagonal with the other value's entries
+    # zeroed rather than sliced away, so each weight sums the whole diagonal
+    # in the order np.trace uses.
+    diagonal = rho.diagonal().real.reshape(split)
+    masked = np.zeros((2,) + split)
+    masked[0, :, 0, :] = diagonal[:, 0, :]
+    masked[1, :, 1, :] = diagonal[:, 1, :]
+    weights = masked.reshape(2, -1).sum(axis=1).tolist()
+    # Weight of each (row, column) value pair of the target, per reported
+    # value: eta on the reported block, 1 - eta on the other, 0 on the
+    # coherences between.
+    blocks = np.array(
+        [[[eta, 0.0], [0.0, 1.0 - eta]], [[1.0 - eta, 0.0], [0.0, eta]]]
+    ).reshape(2, 1, 2, 1, 1, 2, 1)
     branches = []
     for reported in (0, 1):
         prob = eta * weights[reported] + (1.0 - eta) * weights[1 - reported]
         if prob <= 0.0:
             continue
-        # Weight of each (row, column) value pair of the target: eta on the
-        # reported block, 1 - eta on the other, 0 on the coherences between.
-        keep = [1.0 - eta, 1.0 - eta]
-        keep[reported] = eta
-        state = tensor * np.diag(keep).reshape(1, 2, 1, 1, 2, 1)
-        state = state.reshape(rho.shape) / prob
+        state = (tensor * blocks[reported]).reshape(rho.shape)
+        state /= prob
         branches.append(MeasurementBranch(reported, prob, state))
     return branches
 

@@ -1,14 +1,18 @@
 """Schedule construction, chain simulation, resource accounting."""
 
 import math
+import sys
 
 import pytest
 
 from repeaterlab import (
     ChainConfig,
+    FidelityTrace,
     GateNoiseParams,
     LinkModel,
     MemoryModel,
+    ScheduleRound,
+    TraceStep,
     build_schedule,
     expected_attempts,
     memory_decay,
@@ -21,6 +25,7 @@ from repeaterlab import (
     trace_from_csv,
     trace_to_csv,
 )
+from repeaterlab.chain import MAX_SCHEDULE_LINKS
 
 IDEAL = GateNoiseParams.ideal()
 BASELINE = GateNoiseParams(p1=0.999, p2=0.99, eta=0.995)
@@ -128,6 +133,16 @@ def test_schedule_sets_partition_active_stations():
             stride = l ** (r.level - 1)
             active = {i for i in range(stride, big_n, stride)}
             assert swaps | purifies == active
+
+
+def test_build_schedule_refuses_chains_past_its_bound():
+    assert MAX_SCHEDULE_LINKS == 2**16 >= 4**5
+    deepest = build_schedule(ChainConfig(l=2, n=16, link=LINK))
+    assert deepest[-1] == ScheduleRound(16, (2**15,), ())
+    # Refused before anything is built: n = 10**9 would need l**n itself.
+    for l, n in ((2, 17), (4, 9), (257, 2), (2**16 + 1, 1), (2, 10**9)):
+        with pytest.raises(ValueError, match="exceeds 65536 links"):
+            build_schedule(ChainConfig(l=l, n=n, link=LINK))
 
 
 def test_round_time_values():
@@ -256,6 +271,26 @@ def test_resource_count_closed_forms():
     assert resource_scaling_form(cfg(4, 3, 0)) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(OverflowError):
         resource_count(cfg(5, 5, 28))
+
+
+def test_trace_csv_refuses_a_pair_count_past_the_int_to_str_limit():
+    cfg = ChainConfig(l=2, n=700, link=LinkModel(), epp_rounds_per_level=20)
+    trace = simulate_chain(cfg, GateNoiseParams(), MemoryModel.none())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(OverflowError, match="more than 4300 digits"):
+            trace_to_csv(trace)
+        # The bound is exact: 4,300 digits are written, 4,301 refused.
+        for count, fits in ((10**4299, True), (10**4300, False)):
+            edge = FidelityTrace((TraceStep(0, "init", 0.9, 0.0, count),), False)
+            if fits:
+                assert trace_to_csv(edge).endswith(f",{count}\n")
+            else:
+                with pytest.raises(OverflowError):
+                    trace_to_csv(edge)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_expected_attempts_reduces_to_resource_count():

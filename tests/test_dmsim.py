@@ -292,6 +292,125 @@ def test_bad_targets_and_shapes_raise_value_error(call):
         call(rho)
 
 
+@pytest.mark.parametrize(
+    "valid, invalid",
+    [
+        (lambda rho: partial_trace(rho, (1, 2)), lambda rho: partial_trace(rho, (1.0, 2))),
+        (lambda rho: measure_noisy(rho, 1, 0.9), lambda rho: measure_noisy(rho, 1.5, 0.9)),
+        (lambda rho: measure_noisy(rho, 1, 0.9), lambda rho: measure_noisy(rho, 1.0, 0.9)),
+        (lambda rho: apply_one_qubit_noisy(rho, 1, X, 0.9),
+         lambda rho: apply_one_qubit_noisy(rho, 1.0, X, 0.9)),
+        (lambda rho: apply_one_qubit_noisy(rho, 1, I2, 1.0),
+         lambda rho: apply_one_qubit_noisy(rho, 1.5, I2, 1.0)),
+        (lambda rho: apply_two_qubit_noisy(rho, (1, 2), CNOT, 1.0),
+         lambda rho: apply_two_qubit_noisy(rho, (1.0, 2), CNOT, 1.0)),
+    ],
+    ids=["trace", "measure-fractional", "measure-float", "one", "one-identity", "two"],
+)
+def test_checks_remembered_for_an_int_target_still_refuse_a_float(valid, invalid):
+    # Positions are checked once per key; (1.0, 2) equals and hashes like
+    # (1, 2), so the key must tell the element types apart.
+    rho = random_mixed_state(random.Random(2), 3)
+    for _ in range(2):
+        valid(rho)
+        with pytest.raises(ValueError, match="positions"):
+            invalid(rho)
+
+
+def test_numpy_integer_targets_act_like_python_ints():
+    rho = random_mixed_state(random.Random(4), 3)
+    one = np.int64(1)
+    pairs = [
+        (apply_one_qubit_noisy(rho, 1, H, 0.9), apply_one_qubit_noisy(rho, one, H, 0.9)),
+        (apply_one_qubit_noisy(rho, 1, I2, 0.9), apply_one_qubit_noisy(rho, one, I2, 0.9)),
+        (apply_two_qubit_noisy(rho, (1, 2), CNOT, 0.9),
+         apply_two_qubit_noisy(rho, (one, np.int64(2)), CNOT, 0.9)),
+        (partial_trace(rho, (0, 1)), partial_trace(rho, (0, one))),
+        (expand_operator(X, (1,), 3), expand_operator(X, (one,), 3)),
+    ]
+    pairs += [
+        (a.state, b.state)
+        for a, b in zip(measure_noisy(rho, 1, 0.9), measure_noisy(rho, one, 0.9))
+    ]
+    for want, got in pairs:
+        assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize(
+    "target", [[1], np.array(1), None, "1", (1,), 1 + 0j, np.float64(1.0)],
+    ids=["list", "array", "none", "str", "tuple", "complex", "float64"],
+)
+def test_unhashable_or_odd_targets_raise_value_error(target):
+    rho = random_mixed_state(random.Random(2), 3)
+    calls = [
+        lambda: apply_one_qubit_noisy(rho, target, X, 0.9),
+        lambda: apply_one_qubit_noisy(rho, target, I2, 1.0),
+        lambda: apply_two_qubit_noisy(rho, (0, target), CNOT, 0.9),
+        lambda: measure_noisy(rho, target, 0.9),
+        lambda: partial_trace(rho, (0, target)),
+        lambda: expand_operator(X, (target,), 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="positions"):
+            call()
+
+
+@pytest.mark.parametrize("p", [1.0, 0.9])
+def test_identity_correction_equals_its_contraction(p):
+    # apply_one_qubit_noisy copies the state for ``op is I2``; an identity
+    # that is not that object still goes through the contraction.
+    rng = random.Random(11)
+    explicit = np.eye(2, dtype=complex)
+    for n in range(1, 6):
+        for _ in range(3):
+            rho = random_mixed_state(rng, n)
+            for target in range(n):
+                skipped = apply_one_qubit_noisy(rho, target, I2, p)
+                assert skipped is not rho
+                assert np.array_equal(
+                    skipped, apply_one_qubit_noisy(rho, target, explicit, p)
+                )
+
+
+def _measure_noisy_reference(rho, target, eta):
+    """measure_noisy's arithmetic written out as a loop per outcome."""
+    n = int(round(math.log2(rho.shape[0])))
+    split = (2**target, 2, 2 ** (n - target - 1))
+    tensor = rho.reshape(split + split)
+    diagonal = np.real(np.diagonal(rho)).reshape(split)
+    weights = []
+    for v in (0, 1):
+        masked = diagonal.copy()
+        masked[:, 1 - v, :] = 0.0
+        weights.append(float(masked.sum()))
+    branches = []
+    for reported in (0, 1):
+        prob = eta * weights[reported] + (1.0 - eta) * weights[1 - reported]
+        if prob <= 0.0:
+            continue
+        keep = [1.0 - eta, 1.0 - eta]
+        keep[reported] = eta
+        state = tensor * np.diag(keep).reshape(1, 2, 1, 1, 2, 1)
+        branches.append((reported, prob, state.reshape(rho.shape) / prob))
+    return branches
+
+
+def test_measure_noisy_matches_its_loop_reference_exactly():
+    rng = random.Random(12)
+    for n in range(1, 6):
+        for _ in range(3):
+            rho = random_mixed_state(rng, n)
+            for target in range(n):
+                for eta in (1.0, 0.97, rng.uniform(0.5, 1.0)):
+                    got = measure_noisy(rho, target, eta)
+                    want = _measure_noisy_reference(rho, target, eta)
+                    assert [(b.outcome, b.probability) for b in got] == [
+                        (o, p) for o, p, _ in want
+                    ]
+                    for b, (_, _, state) in zip(got, want):
+                        assert np.array_equal(b.state, state)
+
+
 def test_gate_application_does_not_assume_a_hermitian_input():
     # The column side is applied through adjoints, which holds for any matrix.
     rng = np.random.default_rng(9)
