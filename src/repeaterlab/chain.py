@@ -31,7 +31,6 @@ from .werner import (
     swap_chain_fidelity,
 )
 
-_INT64_MAX = 2**63 - 1
 #: Most elementary links :func:`build_schedule` lays out.  A schedule holds
 #: about ``2 * l**n`` station indices; the paper's chains and every test use
 #: at most ``4**5``.
@@ -225,17 +224,24 @@ def resource_count(cfg: ChainConfig) -> int:
     """Elementary pairs consumed by one full protocol execution, exactly.
 
     Every level multiplies consumption by ``l`` (swapping) and by ``m`` per
-    purification round, giving ``(l * m**k)**n`` in integer arithmetic.
-    Success probabilities are deliberately excluded; see
+    purification round, giving ``(l * m**k)**n``: the exact int the last step
+    of a full trace carries.  Raises ``OverflowError`` for a count too long to
+    print.  Success probabilities are deliberately excluded; see
     :func:`expected_attempts` for the probabilistic cost.
     """
-    per_level = cfg.l * cfg.m**cfg.epp_rounds_per_level
-    total = per_level**cfg.n
-    if total > _INT64_MAX:
+    return _printable((cfg.l * cfg.m**cfg.epp_rounds_per_level) ** cfg.n)
+
+
+def _printable(count: int) -> int:
+    """``count``, or ``OverflowError`` if it has more digits than ``str`` allows."""
+    try:
+        str(count)  # refuses exactly the ints with more digits than the limit
+    except ValueError:
         raise OverflowError(
-            f"resource count {per_level}**{cfg.n} exceeds the 64-bit range"
-        )
-    return total
+            f"pair count of about 2**{count.bit_length()} has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+    return count
 
 
 def resource_scaling_form(cfg: ChainConfig) -> float:
@@ -286,18 +292,10 @@ def trace_to_csv(trace: FidelityTrace) -> str:
     """Render a trace as CSV with 12-significant-digit numeric columns.
 
     A fidelity within rounding of the degeneracy floor is written in full,
-    so the flag :func:`trace_from_csv` re-derives from it stays exact.
-    Raises ``OverflowError``, before any row is built, when a pair count has
-    more digits than Python converts to text (``sys.get_int_max_str_digits``).
+    so the flag :func:`trace_from_csv` re-derives from it stays exact.  A
+    pair count too long to print raises ``OverflowError`` before any row.
     """
-    largest = max((abs(s.pairs_consumed) for s in trace.steps), default=0)
-    try:
-        str(largest)  # refuses exactly the ints with more digits than the limit
-    except ValueError:
-        raise OverflowError(
-            f"pair count of about 2**{largest.bit_length()} has more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+    _printable(max((abs(s.pairs_consumed) for s in trace.steps), default=0))
     lines = ["level,stage,fidelity,elapsed_seconds,pairs_consumed"]
     for s in trace.steps:
         lines.append(

@@ -6,10 +6,10 @@ defaults.  All numeric output is printed with 12 significant digits and the
 pipeline contains no randomness, so identical configs produce byte-identical
 output — golden files are diffable.
 
-Exit codes: 0 success, 1 analysis-level failure (no valid purification
-range, oracle deviation, too few points to fit, a pair count past 64 bits,
-a level latency past the float range) or a stdout closed by its reader,
-2 usage or config errors.
+Pair counts are exact integers.  Exit codes: 0 success, 1 analysis-level
+failure (no valid purification range, oracle deviation, too few points to
+fit, a pair count too long to print, a level latency or sweep distance past
+the float range) or a stdout closed by its reader, 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def cmd_swap(run: RunConfig, args) -> int:
 
 def cmd_trace(run: RunConfig, args) -> int:
     out = _require_out(args)
-    pairs = resource_count(run.chain)  # fails before any output if it overflows
+    pairs = resource_count(run.chain)  # fails before any output if too long to print
     trace = simulate_chain(run.chain, run.gates, run.memory)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(trace_to_csv(trace))

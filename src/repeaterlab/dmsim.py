@@ -16,8 +16,8 @@ explicitly; the oracles never call it, and it is the reference the
 contraction paths are tested against.
 
 The primitives keep their per-call cost low without changing a bit of
-their arithmetic.  Shape and position checks run once per (matrix shape,
-operator shape, positions, position types) and are memoized after that.
+their arithmetic.  Position checks run once per (operator shape, positions,
+position types, qubit count) and are memoized after that.
 The Bell vectors, their conjugates and their projectors are built once, at
 import, and are read-only, as is ``I2``.  A correction that is the
 identity ``I2`` copies the state instead of contracting it.
@@ -82,35 +82,33 @@ for _constant in (
     _constant.flags.writeable = False
 del _constant
 
-#: Bound on each memoized check below.  Only keys that pass are stored, and
-#: the oracles use a few dozen.
-_CHECK_CACHE_SIZE = 1024
-
-
 def num_qubits(rho: np.ndarray) -> int:
     """Qubit count of a square matrix whose dimension is a power of two."""
-    return _shape_qubits(rho.shape)
-
-
-@functools.lru_cache(maxsize=_CHECK_CACHE_SIZE)
-def _shape_qubits(shape: tuple[int, ...]) -> int:
-    """:func:`num_qubits` of a matrix of this shape, checked once per shape."""
+    shape = rho.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
-    n = int(round(math.log2(shape[0])))
-    if 2**n != shape[0]:
+    n = shape[0].bit_length() - 1
+    if n < 0 or shape[0] != 1 << n:
         raise ValueError(f"dimension {shape[0]} is not a power of two")
     return n
 
 
+def _check_probability(p: float, name: str) -> None:
+    """Raise unless the gate reliability ``p`` lies in [0, 1]; NaN is refused."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+
+
 def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise if ``rho`` is not a valid state: unit trace, Hermitian, PSD.
+    """Raise if ``rho`` is not a valid state: finite, unit trace, Hermitian, PSD.
 
     Tolerances: |tr - 1| <= 1e-12, max |rho - rho^H| <= 1e-12, and all
     eigenvalues >= -1e-10 (tiny negative dust from repeated floating-point
     updates is tolerated, genuine negativity is not).
     """
     num_qubits(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -157,7 +155,8 @@ def _check_targets(shape: tuple[int, ...] | None, positions, n: int) -> None:
         raise ValueError(f"positions {key} invalid for {n} qubits") from None
 
 
-@functools.lru_cache(maxsize=_CHECK_CACHE_SIZE)
+# Only keys that pass are stored, and the oracles use a few dozen.
+@functools.lru_cache(maxsize=1024)
 def _check_targets_once(
     shape: tuple[int, ...] | None, positions: tuple, types: tuple[type, ...], n: int
 ) -> None:
@@ -275,6 +274,7 @@ def apply_one_qubit_noisy(
     """
     n = num_qubits(rho)
     _check_targets(op.shape, (target,), n)
+    _check_probability(p1, "p1")
     ideal = rho.copy() if op is I2 else _conjugate(rho, op, (target,), n)
     if p1 == 1.0:
         return ideal
@@ -290,6 +290,7 @@ def apply_two_qubit_noisy(
     n = num_qubits(rho)
     targets = tuple(targets)
     _check_targets(op.shape, targets, n)
+    _check_probability(p2, "p2")
     ideal = _conjugate(rho, op, targets, n)
     if p2 == 1.0:
         return ideal

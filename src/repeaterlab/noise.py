@@ -85,7 +85,7 @@ def memory_decay(f: float, t_s: float, mem: MemoryModel) -> float:
 def link_success_probability(distance_km: float, link: LinkModel) -> float:
     """Transmission probability over ``distance_km`` of fiber, 10^(-alpha*d/10)."""
     if not (math.isfinite(distance_km) and distance_km >= 0.0):
-        raise ValueError(f"distance_km must be >= 0, got {distance_km!r}")
+        raise ValueError(f"distance_km must be finite and >= 0, got {distance_km!r}")
     return 10.0 ** (-link.alpha_db_per_km * distance_km / 10.0)
 
 

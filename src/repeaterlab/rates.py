@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
-from .chain import ChainConfig, TraceStep, resource_count, simulate_chain
+from .chain import ChainConfig, TraceStep, simulate_chain
 from .noise import MemoryModel, link_success_probability
 from .werner import GateNoiseParams, purification_fixed_points, werner_weight
 
@@ -92,16 +92,18 @@ class RepeaterRate(NamedTuple):
     final_fidelity: float
 
 
-def _rates_at(
-    end: TraceStep, degenerate: bool, pairs: int, f_useful: float
-) -> tuple[float, float]:
+def _rates_at(end: TraceStep, degenerate: bool, f_useful: float) -> tuple[float, float]:
     """Resource- and time-normalized rate of a chain whose trace ends at ``end``."""
     s = 0.0 if degenerate else usefulness_weight(end.fidelity, f_useful)
+    try:
+        rate_resource = s / end.pairs_consumed
+    except OverflowError:  # a count past the float range: under 2**-1024 per pair
+        rate_resource = 0.0
     if end.elapsed_seconds > 0.0:
         rate_time = s / end.elapsed_seconds
     else:
         rate_time = math.inf if s > 0.0 else 0.0
-    return s / pairs, rate_time
+    return rate_resource, rate_time
 
 
 def repeater_rate(
@@ -114,7 +116,8 @@ def repeater_rate(
 
     ``f_useful`` defaults to the lower purification fixed point of ``g`` —
     the fidelity below which purification stops winning.  A degenerate
-    (truncated) trace yields rate 0 in both metrics.  A zero-latency run
+    (truncated) trace yields rate 0 in both metrics, and so does the resource
+    rate of an exact pair count past the float range.  A zero-latency run
     (n = 0) has no meaningful time normalization; its ``rate_time`` is
     ``inf`` when the pair is useful at all.
     """
@@ -122,10 +125,7 @@ def repeater_rate(
         f_useful = purification_fixed_points(g).f_min
     trace = simulate_chain(cfg, g, mem)
     end = trace.steps[-1]
-    rate_resource, rate_time = _rates_at(
-        end, trace.degenerate, resource_count(cfg), f_useful
-    )
-    return RepeaterRate(rate_resource, rate_time, end.fidelity)
+    return RepeaterRate(*_rates_at(end, trace.degenerate, f_useful), end.fidelity)
 
 
 @dataclass(frozen=True)
@@ -250,8 +250,9 @@ def sweep_rates(
     For each depth in ``n_values`` (ascending): direct transmission over the
     same total distance, the repeater with a perfect memory, and the repeater
     with ``mem``.  Repeater regimes yield one curve per metric; points whose
-    rate is exactly zero (degenerate chains) are omitted, since a rate curve
-    carries only positive rates.
+    rate is exactly zero (degenerate chains, pair counts past the float range)
+    are omitted, since a rate curve carries only positive rates.  A depth whose
+    total distance is past the float range raises ``OverflowError``.
 
     Levels nest and a level's latency does not depend on the depth, so each
     regime is simulated once, at the deepest depth, and a shallower chain's
@@ -276,16 +277,16 @@ def sweep_rates(
         walks.append((regime, ends, last, stop))
     points: dict[tuple[str, str], list[RatePoint]] = {key: [] for key in CURVES}
     for n in n_values:
-        cfg_n = replace(cfg, n=n)
-        distance = cfg_n.total_distance_km
-        pairs = resource_count(cfg_n)
+        distance = replace(cfg, n=n).total_distance_km
+        if math.isinf(distance):
+            raise OverflowError(f"depth {n}: total distance is past the float range")
         direct_rate = direct_transmission_rate(distance, cfg.link)
         if direct_rate > 0.0:
             points["direct", "resource_normalized"].append(
                 RatePoint(distance, direct_rate, "resource_normalized")
             )
         for regime, ends, last, stop in walks:
-            values = _rates_at(ends.get(n, last), n >= stop, pairs, f_useful)
+            values = _rates_at(ends.get(n, last), n >= stop, f_useful)
             for metric, value in zip(METRICS, values):
                 if value > 0.0 and math.isfinite(value):
                     points[(regime, metric)].append(RatePoint(distance, value, metric))

@@ -269,8 +269,15 @@ def test_resource_count_closed_forms():
     assert resource_scaling_form(cfg(2, 2, 3)) == pytest.approx(64.0, rel=1e-12)
     assert resource_scaling_form(cfg(3, 2, 2)) == pytest.approx(36.0, rel=1e-12)
     assert resource_scaling_form(cfg(4, 3, 0)) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(OverflowError):
-        resource_count(cfg(5, 5, 28))
+    # Counts are exact past 64 bits; only a count too long to print is refused.
+    assert resource_count(cfg(5, 5, 28)) == 25**28
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(OverflowError, match="more than 4300 digits"):
+            resource_count(cfg(2, 2, 10000))  # 4**10000 has 6,021 digits
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_trace_csv_refuses_a_pair_count_past_the_int_to_str_limit():

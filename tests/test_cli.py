@@ -407,11 +407,6 @@ def test_unsupported_format_is_a_usage_error(capsys):
 
 #: The one line each config that leaves the number range prints.
 OVERFLOW_LINES = {
-    # (l * m**k)**n = 4**32 pairs does not fit in 64 bits.
-    "[sweep]\nstop = 32\n":
-        "Overflow: resource count 4**32 exceeds the 64-bit range\n",
-    "[chain]\nn = 32\n":
-        "Overflow: resource count 4**32 exceeds the 64-bit range\n",
     # A level's span or classical latency is past the float range.
     "[link]\nc_signal_km_s = 1e-310\n":
         "Overflow: level 1 latency is not a finite float (span 50.0 km)\n",
@@ -420,17 +415,20 @@ OVERFLOW_LINES = {
     "[chain]\nc_es = 1e308\nc_epp = 1e308\n"
     "[memory]\nmode = exponential\ntau_s = 0.01\n":
         "Overflow: level 1 latency is not a finite float (span 50.0 km)\n",
+    # The chain degenerates before its level spans overflow, so the first
+    # value past the float range is the total distance of a deeper depth.
+    "[link]\nd_km = 1e300\n[sweep]\nstop = 30\n":
+        "Overflow: depth 28: total distance is past the float range\n",
 }
 
 
 @pytest.mark.parametrize("command, ini", [
-    ("rate-sweep", "[sweep]\nstop = 32\n"),
-    ("trace", "[chain]\nn = 32\n"),
     ("trace", "[link]\nc_signal_km_s = 1e-310\n"),
     ("trace", "[link]\nd_km = 1e308\n"),
     ("rate-sweep", "[link]\nd_km = 1e308\n"),
     ("threshold", "[chain]\nc_es = 1e308\nc_epp = 1e308\n"
                   "[memory]\nmode = exponential\ntau_s = 0.01\n"),
+    ("rate-sweep", "[link]\nd_km = 1e300\n[sweep]\nstop = 30\n"),
 ])
 def test_pair_count_overflow_is_one_line_not_a_traceback(capsys, tmp_path,
                                                          command, ini):
@@ -440,6 +438,66 @@ def test_pair_count_overflow_is_one_line_not_a_traceback(capsys, tmp_path,
     assert code == 1
     assert out == OVERFLOW_LINES[ini]
     assert err == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_trace_pair_count_too_long_to_print_writes_nothing(capsys, tmp_path):
+    cfg = write(tmp_path, "deep.ini", "[chain]\nn = 10000\n")
+    out_path = tmp_path / "out.csv"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "trace", "--config", cfg, "--out",
+                                 str(out_path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    assert out == ("Overflow: pair count of about 2**20001 has more than "
+                   "4300 digits\n")
+    assert err == ""
+    assert not out_path.exists()
+
+
+def test_trace_prints_a_pair_count_past_64_bits(capsys, tmp_path):
+    cfg = write(tmp_path, "deep.ini", "[chain]\nn = 32\n")
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "trace", "--config", cfg, "--out",
+                             str(out_path))
+    assert (code, err) == (0, "")
+    assert "resource_count=18446744073709551616\n" in out  # 4**32, exactly
+    assert out_path.exists()
+
+
+def test_rate_sweep_past_64_bit_pair_counts(capsys, tmp_path):
+    cfg = write(tmp_path, "deep.ini", "[sweep]\nstop = 32\n")
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
+                             str(out_path))
+    assert (code, err) == (0, "")
+    assert len([ln for ln in out.splitlines() if ln.startswith("fit ")]) == 5
+    assert len(curves_from_csv(out_path.read_text(encoding="utf-8"))) == 5
+
+
+def test_rate_sweep_past_the_float_range_of_pair_counts(capsys, tmp_path):
+    # Ideal gates and memory keep the chain far from the mixed state, while
+    # each level costs 2 * 2**3 = 16 pairs: 16**255 = 2**1020 pairs still fit
+    # a float, 16**256 does not, and the resource rate below 2**-1024 is 0.
+    cfg = write(tmp_path, "deep.ini",
+                "[link]\nf0 = 0.99\n[chain]\nepp_rounds_per_level = 3\n"
+                "[sweep]\nstop = 300\n")
+    out_path = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
+                           str(out_path))
+    assert (code, err) == (0, "")
+    depths = {
+        (curve.regime, curve.points[0].metric):
+            [round(math.log2(d / 25.0)) for d in curve.distances]
+        for curve in curves_from_csv(out_path.read_text(encoding="utf-8"))
+        if curve.regime != "direct"
+    }
+    for (regime, metric), values in depths.items():
+        last = 255 if metric == "resource_normalized" else 300
+        assert values == list(range(1, last + 1)), (regime, metric)
 
 
 def test_link_fidelity_at_the_degeneracy_floor_is_a_config_error(capsys,

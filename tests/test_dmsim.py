@@ -130,6 +130,15 @@ def test_apply_two_qubit_noisy_limits():
     check_density_matrix(apply_two_qubit_noisy(rho, (2, 1), CNOT, 0.9))
 
 
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_noisy_gates_refuse_a_reliability_outside_the_unit_interval(p):
+    rho = werner_state(0.9)
+    with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\]"):
+        apply_one_qubit_noisy(rho, 0, X, p)
+    with pytest.raises(ValueError, match=r"p2 must lie in \[0, 1\]"):
+        apply_two_qubit_noisy(rho, (0, 1), CNOT, p)
+
+
 def test_measure_noisy_misreport_probabilities():
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1.0
@@ -177,6 +186,12 @@ def test_check_density_matrix_rejects_bad_inputs():
         check_density_matrix(negative)  # negative eigenvalue
     with pytest.raises(ValueError):
         check_density_matrix(np.eye(3, dtype=complex) / 3.0)  # not qubits
+    with pytest.raises(ValueError, match="dimension 0 is not a power of two"):
+        check_density_matrix(np.zeros((0, 0), dtype=complex))
+    # NaN fails every tolerance comparison; it must not reach eigvalsh,
+    # whose LinAlgError is a ValueError too but says nothing about the input.
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        check_density_matrix(np.full((4, 4), np.nan, dtype=complex))
 
 
 SMALL_NOISE_GRID = [

@@ -320,13 +320,13 @@ def optional_keys(**keys):
 
 
 #: In-range values of every section the CLI reads.  The work of a run grows
-#: with ``l**n`` links, ``m**epp_rounds_per_level`` pairs per round and the
-#: sweep's ``stop``, so those keys are bounded where one run takes
-#: milliseconds.
+#: with the depth ``n``, the sweep's ``stop`` and the digits of the pair
+#: count, so those keys are bounded where one run takes milliseconds; ``n``
+#: and ``stop`` still reach past 512, where 4**n pairs leave the float range.
 SECTIONS = {
     "chain": optional_keys(
         l=ints_between(2, 8),
-        n=ints_between(0, 40),
+        n=ints_between(0, 600),
         m=ints_between(2, 5),
         epp_rounds_per_level=ints_between(0, 4),
         c_es=floats_between(0.0, 4.0),
@@ -346,7 +346,7 @@ SECTIONS = {
         {"mode": st.just("exponential"), "tau_s": floats_between(1e-6, 1.0)}
     ),
     "sweep": optional_keys(
-        start=ints_between(0, 40), stop=ints_between(0, 40), step=ints_between(1, 40)
+        start=ints_between(0, 40), stop=ints_between(0, 600), step=ints_between(1, 40)
     ),
     "rate": optional_keys(f_useful=floats_between(0.0, 1.0)),
     "query": optional_keys(f=floats_between(0.0, 1.0)),
@@ -389,6 +389,9 @@ CLI_COMMANDS = ("fixed-points", "purify", "swap", "trace", "threshold", "rate-sw
 @example("[link]\nd_km = 1e308\n")
 @example("[chain]\nc_es = 1e308\nc_epp = 1e308\n"
          "[memory]\nmode = exponential\ntau_s = 0.01\n")
+@example("[sweep]\nstop = 32\n")
+@example("[chain]\nn = 10000\n")
+@example("[link]\nd_km = 1e300\n[sweep]\nstop = 30\n")
 def test_cli_answers_any_config_with_a_clean_exit(text):
     """Exit 0, 1 or 2 and no traceback; stderr holds one ``config error``
     line exactly when the exit is 2, and nothing otherwise."""

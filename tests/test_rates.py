@@ -230,6 +230,29 @@ def test_sweep_rates_structure():
         sweep_rates(cfg, BASELINE, MemoryModel.none(), [3, 2, 1])
 
 
+@pytest.mark.parametrize("n_values, error", [
+    ([-1], ValueError),
+    ([-1, 2], ValueError),
+    ([1.5], TypeError),
+    ([1, 2.0], TypeError),
+    ([True], TypeError),
+])
+def test_sweep_rates_refuses_the_depths_chain_config_refuses(n_values, error):
+    cfg = ChainConfig(l=2, n=3, link=LinkModel())
+    with pytest.raises(error):
+        sweep_rates(cfg, BASELINE, MemoryModel.none(), n_values)
+
+
+def test_resource_rate_is_zero_once_the_pair_count_leaves_the_float_range():
+    # 16 pairs per level: 16**255 = 2**1020 pairs fit a float, 16**256 do not.
+    link = LinkModel(f0=0.99)
+    for n, fits in ((255, True), (256, False)):
+        cfg = ChainConfig(l=2, n=n, link=link, epp_rounds_per_level=3)
+        rate = repeater_rate(cfg, IDEAL, MemoryModel.none())
+        assert rate.rate_time > 0.0
+        assert (rate.rate_resource > 0.0) == fits
+
+
 def test_curves_csv_round_trip():
     link = LinkModel(d_km=25.0, f0=0.96, c_signal_km_s=3e5)
     cfg = ChainConfig(l=2, n=6, link=link, epp_rounds_per_level=0)
