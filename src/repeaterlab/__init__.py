@@ -29,14 +29,14 @@ _EXPORTS = {
     "rates": (
         "InsufficientPointsError", "RateCurve", "RatePoint", "RepeaterRate",
         "ScalingFit", "ThresholdResult", "curves_from_csv", "curves_to_csv",
-        "direct_transmission_rate", "repeater_rate", "scaling_fit", "sweep_rates",
-        "threshold_distance", "usefulness_weight",
+        "repeater_rate", "scaling_fit", "sweep_rates", "threshold_distance",
+        "usefulness_weight",
     ),
     "werner": (
         "DEGENERACY_THRESHOLD", "FixedPoints", "GateNoiseParams", "NoValidRangeError",
-        "fidelity_from_weight", "purification_fixed_points", "purify_ideal",
-        "purify_noisy", "purify_success_probability", "swap_chain_fidelity",
-        "validate_fidelity", "werner_weight",
+        "fidelity_from_weight", "purification_fixed_points", "purify_noisy",
+        "purify_success_probability", "swap_chain_fidelity", "validate_fidelity",
+        "werner_weight",
     ),
     "dmsim": (
         "BellKind", "EppResult", "EsResult", "MeasurementBranch",

@@ -83,7 +83,18 @@ class ChainConfig:
 
     @property
     def total_distance_km(self) -> float:
-        return self.checkpoints * self.link.d_km
+        return self.span_km(self.n)
+
+    def span_km(self, x: int) -> float:
+        """Length of ``l**x`` elementary links, in km.
+
+        An ``l**x`` past the float range reads as ``inf``, as it would in
+        floating point, rather than failing to convert.
+        """
+        try:
+            return self.l**x * self.link.d_km
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,7 @@ def round_time(x: int, cfg: ChainConfig) -> float:
     """
     if not 1 <= x <= cfg.n:
         raise ValueError(f"level must lie in 1..{cfg.n}, got {x}")
-    span_km = cfg.l**x * cfg.link.d_km
+    span_km = cfg.span_km(x)
     if math.isfinite(span_km):
         messages = cfg.c_es + cfg.c_epp * cfg.epp_rounds_per_level
         latency = messages * classical_comm_time(span_km, cfg.link)
@@ -226,10 +237,24 @@ def resource_count(cfg: ChainConfig) -> int:
     Every level multiplies consumption by ``l`` (swapping) and by ``m`` per
     purification round, giving ``(l * m**k)**n``: the exact int the last step
     of a full trace carries.  Raises ``OverflowError`` for a count too long to
-    print.  Success probabilities are deliberately excluded; see
+    print, without building it when ``n * log10(l * m**k)`` is a digit or more
+    past the limit.  Success probabilities are deliberately excluded; see
     :func:`expected_attempts` for the probabilistic cost.
     """
-    return _printable((cfg.l * cfg.m**cfg.epp_rounds_per_level) ** cfg.n)
+    base = cfg.l * cfg.m**cfg.epp_rounds_per_level
+    limit = sys.get_int_max_str_digits()
+    # Compared rather than multiplied, so no huge n overflows a float.
+    if limit and cfg.n >= (limit + 1) / math.log10(base):
+        p, q = math.log2(base).as_integer_ratio()
+        raise _too_long(cfg.n * p // q + 1)
+    return _printable(base**cfg.n)
+
+
+def _too_long(bits: int) -> OverflowError:
+    return OverflowError(
+        f"pair count of about 2**{bits} has more than "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
 
 
 def _printable(count: int) -> int:
@@ -237,10 +262,7 @@ def _printable(count: int) -> int:
     try:
         str(count)  # refuses exactly the ints with more digits than the limit
     except ValueError:
-        raise OverflowError(
-            f"pair count of about 2**{count.bit_length()} has more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise _too_long(count.bit_length()) from None
     return count
 
 

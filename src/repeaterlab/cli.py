@@ -75,8 +75,8 @@ class SweepSpec:
         if self.start < 0 or self.stop < self.start or self.step < 1:
             raise ValueError("need 0 <= start <= stop and step >= 1")
 
-    def values(self) -> list[int]:
-        return list(range(self.start, self.stop + 1, self.step))
+    def values(self) -> range:
+        return range(self.start, self.stop + 1, self.step)
 
 
 @dataclass(frozen=True)

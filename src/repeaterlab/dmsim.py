@@ -366,14 +366,7 @@ class EppResult:
     success_probability: float
 
 
-def es_oracle(
-    f_a: float,
-    f_b: float,
-    g: GateNoiseParams,
-    *,
-    noisy_hadamard: bool = False,
-    noisy_corrections: bool = True,
-) -> EsResult:
+def es_oracle(f_a: float, f_b: float, g: GateNoiseParams) -> EsResult:
     """Entanglement swapping on two Werner pairs, built from explicit gates.
 
     Qubits (0, 1) hold a pair of fidelity ``f_a`` and (2, 3) one of ``f_b``;
@@ -382,33 +375,26 @@ def es_oracle(
     misreporting probability ``1 - eta``.  Conditioned on the reported pair
     (m1, m2), the far node applies Z^m1 then X^m2 to qubit 3.
 
-    By default the Hadamard is treated as part of the (already imperfect)
-    readout and the two conditional recovery operations carry the one-qubit
-    depolarizing noise, applied as channels on every branch.  This is the
-    convention under which the circuit reproduces the closed-form
-    :func:`repeaterlab.werner.swap_chain_fidelity` exactly; flip the keyword
-    flags to study the alternative accounting where the Hadamard is noisy
-    and the recoveries are absorbed into the classical frame.
+    The Hadamard is treated as part of the (already imperfect) readout and
+    the two conditional recovery operations carry the one-qubit depolarizing
+    noise, applied as channels on every branch.  This is the convention
+    under which the circuit reproduces the closed-form
+    :func:`repeaterlab.werner.swap_chain_fidelity` exactly.
 
     Returns the probability-weighted fidelity of the surviving pair (0, 3)
     together with the four branch probabilities.
     """
     rho = np.kron(werner_state(f_a), werner_state(f_b))
     rho = apply_two_qubit_noisy(rho, (1, 2), CNOT, g.p2)
-    rho = apply_one_qubit_noisy(rho, 1, H, g.p1 if noisy_hadamard else 1.0)
+    rho = apply_one_qubit_noisy(rho, 1, H, 1.0)
 
     fidelity = 0.0
     probabilities = {}
     for b1 in measure_noisy(rho, 1, g.eta):
         for b2 in measure_noisy(b1.state, 2, g.eta):
             joint = b1.probability * b2.probability
-            state = b2.state
-            if noisy_corrections:
-                state = apply_one_qubit_noisy(state, 3, Z if b1.outcome else I2, g.p1)
-                state = apply_one_qubit_noisy(state, 3, X if b2.outcome else I2, g.p1)
-            else:
-                correction = (Z if b1.outcome else I2) @ (X if b2.outcome else I2)
-                state = apply_one_qubit_noisy(state, 3, correction, 1.0)
+            state = apply_one_qubit_noisy(b2.state, 3, Z if b1.outcome else I2, g.p1)
+            state = apply_one_qubit_noisy(state, 3, X if b2.outcome else I2, g.p1)
             pair = partial_trace(state, (0, 3))
             fidelity += joint * fidelity_to_bell(pair, BellKind.PHI_PLUS)
             probabilities[(b1.outcome, b2.outcome)] = joint

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from typing import NamedTuple, Sequence
 
 from .chain import ChainConfig, TraceStep, simulate_chain
@@ -29,8 +30,8 @@ CURVES = (
 
 
 class InsufficientPointsError(ValueError):
-    """A scaling fit needs at least five points inside the window, spread
-    far enough apart that the squares of their offsets stay nonzero."""
+    """A scaling fit needs at least five points, spread far enough apart
+    that the squares of their offsets stay nonzero."""
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,6 @@ class RateCurve:
     @property
     def rates(self) -> tuple[float, ...]:
         return tuple(p.rate for p in self.points)
-
-
-#: Per-attempt success probability of sending one photon the whole way.
-direct_transmission_rate = link_success_probability
 
 
 def usefulness_weight(f: float, f_useful: float) -> float:
@@ -159,13 +156,13 @@ def threshold_distance(
     trace = simulate_chain(cfg, g, mem)
     for step in trace.steps:
         if step.stage == "after_memory" and step.fidelity < fp.f_min:
-            distance = cfg.l**step.level * cfg.link.d_km
+            distance = cfg.span_km(step.level)
             return ThresholdResult(distance, step.level, fp.f_min, step.fidelity)
     if trace.degenerate:
         # Truncated before a post-decay record could dip: the pair is already
         # fully mixed, which is certainly below f_min.
         last = trace.steps[-1]
-        distance = cfg.l**last.level * cfg.link.d_km
+        distance = cfg.span_km(last.level)
         return ThresholdResult(distance, last.level, fp.f_min, last.fidelity)
     return ThresholdResult(math.inf, None, fp.f_min, None)
 
@@ -207,25 +204,19 @@ def _linear_fit_r2(x: Sequence[float], y: Sequence[float]) -> tuple[float, float
     return slope, min(1.0, max(0.0, r2))
 
 
-def scaling_fit(
-    curve: RateCurve, window: tuple[float, float] | None = None
-) -> ScalingFit:
+def scaling_fit(curve: RateCurve) -> ScalingFit:
     """Classify a rate curve's decay as polynomial or exponential in D.
 
     Fits log(rate) against log(D) (polynomial hypothesis, slope = -degree)
     and against D (exponential hypothesis, slope = -constant per km) over
-    the points with ``window[0] <= D <= window[1]``, then returns whichever
-    hypothesis explains more variance.  Requires at least five points in the
-    window.
+    all of the curve's points, then returns whichever hypothesis explains
+    more variance.  Requires at least five points; a caller fitting only
+    part of a curve passes a :class:`RateCurve` of that part.
     """
     points = curve.points
-    if window is not None:
-        lo, hi = window
-        points = tuple(p for p in points if lo <= p.distance_km <= hi)
     if len(points) < 5:
         raise InsufficientPointsError(
             f"need >= 5 points for a scaling fit, got {len(points)}"
-            + (f" in window {window}" if window is not None else "")
         )
     d = [p.distance_km for p in points]
     log_rate = [math.log(p.rate) for p in points]
@@ -258,11 +249,11 @@ def sweep_rates(
     regime is simulated once, at the deepest depth, and a shallower chain's
     run is the prefix of that trace up to the last step of its level.
     """
-    if list(n_values) != sorted(set(n_values)):
+    if any(a >= b for a, b in pairwise(n_values)):
         raise ValueError("n_values must be strictly increasing")
     if f_useful is None:
         f_useful = purification_fixed_points(g).f_min
-    deepest = replace(cfg, n=max(n_values, default=0))
+    deepest = replace(cfg, n=n_values[-1] if n_values else 0)
     walks = []
     for regime, regime_mem in (
         ("repeater_ideal_memory", MemoryModel.none()),
@@ -280,7 +271,7 @@ def sweep_rates(
         distance = replace(cfg, n=n).total_distance_km
         if math.isinf(distance):
             raise OverflowError(f"depth {n}: total distance is past the float range")
-        direct_rate = direct_transmission_rate(distance, cfg.link)
+        direct_rate = link_success_probability(distance, cfg.link)
         if direct_rate > 0.0:
             points["direct", "resource_normalized"].append(
                 RatePoint(distance, direct_rate, "resource_normalized")

@@ -47,7 +47,7 @@ class GateNoiseParams:
     p2  reliability of a two-qubit operation,
     eta probability a single-qubit measurement reports the true outcome.
     All live in (0, 1]; eta additionally must exceed 1/2 or outcomes carry
-    no information.
+    no information.  ``GateNoiseParams()`` is perfect gates.
     """
 
     p1: float = 1.0
@@ -63,10 +63,6 @@ class GateNoiseParams:
                 raise ValueError(f"{name} must lie in (0, 1], got {v!r}")
         if self.eta <= 0.5:
             raise ValueError(f"eta must exceed 0.5, got {self.eta!r}")
-
-    @classmethod
-    def ideal(cls) -> "GateNoiseParams":
-        return cls(1.0, 1.0, 1.0)
 
 
 def werner_weight(f: float) -> float:
@@ -108,17 +104,9 @@ def _purify(f: float, g: GateNoiseParams) -> tuple[float, float]:
     return 0.25 + q * (1.0 + c) * w * (1.0 + 2.0 * w) / (4.0 * den), den / 2.0
 
 
-_IDEAL = GateNoiseParams()
-
-
-def purify_ideal(f: float) -> float:
-    """Fidelity after one purification round with perfect gates."""
-    return _purify(f, _IDEAL)[0]
-
-
-def purify_success_probability(f: float, g: GateNoiseParams | None = None) -> float:
-    """Probability the coincidence check passes; ``g=None`` means perfect gates."""
-    return _purify(f, _IDEAL if g is None else g)[1]
+def purify_success_probability(f: float, g: GateNoiseParams) -> float:
+    """Probability the coincidence check passes with gates ``g``."""
+    return _purify(f, g)[1]
 
 
 def purify_noisy(f: float, g: GateNoiseParams) -> float:

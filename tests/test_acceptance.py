@@ -18,6 +18,7 @@ from repeaterlab import (
     GateNoiseParams,
     LinkModel,
     MemoryModel,
+    RateCurve,
     apply_one_qubit_noisy,
     apply_two_qubit_noisy,
     build_schedule,
@@ -26,7 +27,7 @@ from repeaterlab import (
     measure_noisy,
     partial_trace,
     purification_fixed_points,
-    purify_ideal,
+    purify_noisy,
     resource_count,
     resource_scaling_form,
     scaling_fit,
@@ -72,12 +73,12 @@ def test_criterion_1_circuit_oracles_match_closed_forms():
 
 def test_criterion_2_ideal_fixed_points_and_gain():
     done = _stopwatch(1.0)
-    fp = purification_fixed_points(GateNoiseParams.ideal())
+    fp = purification_fixed_points(GateNoiseParams())
     assert abs(fp.f_min - 0.5) <= 1e-12
     assert abs(fp.f_max - 1.0) <= 1e-12
     grid = np.linspace(0.5, 1.0, 201)[1:-1]
     for f in grid:
-        assert purify_ideal(float(f)) > float(f)
+        assert purify_noisy(float(f), GateNoiseParams()) > float(f)
     elapsed = done()
     print(
         f"criterion 2: PASS (f_min={fp.f_min!r}, f_max={fp.f_max!r}, "
@@ -114,7 +115,7 @@ def test_criterion_4_lossless_doubling_rate_is_inverse_square():
         epp_rounds_per_level=1,
     )
     curves = sweep_rates(
-        cfg, GateNoiseParams.ideal(), MemoryModel.none(), range(1, 11)
+        cfg, GateNoiseParams(), MemoryModel.none(), range(1, 11)
     )
     curve = next(
         c
@@ -174,7 +175,12 @@ def test_criterion_5_memory_decay_threshold_and_exponential_tail():
         if c.regime == "repeater_noisy_memory"
         and c.points[0].metric == "time_normalized"
     )
-    fit = scaling_fit(curve, window=(threshold.distance_km, math.inf))
+    # Fit from the crossing on, the crossing itself included.
+    tail = RateCurve(
+        curve.regime,
+        tuple(p for p in curve.points if p.distance_km >= threshold.distance_km),
+    )
+    fit = scaling_fit(tail)
     assert fit.kind == "exponential"
     assert fit.exponential_goodness >= 0.99
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,7 @@ from repeaterlab import (
 )
 from repeaterlab.chain import MAX_SCHEDULE_LINKS
 
-IDEAL = GateNoiseParams.ideal()
+IDEAL = GateNoiseParams()
 BASELINE = GateNoiseParams(p1=0.999, p2=0.99, eta=0.995)
 LINK = LinkModel(d_km=25.0, f0=0.96)
 
@@ -276,8 +277,31 @@ def test_resource_count_closed_forms():
     try:
         with pytest.raises(OverflowError, match="more than 4300 digits"):
             resource_count(cfg(2, 2, 10000))  # 4**10000 has 6,021 digits
+        # Near the limit the count is still built and printed or refused
+        # exactly: 10**4299 has 4,300 digits, 10**4300 one too many.
+        assert resource_count(cfg(10, 2, 4299, k=0)) == 10**4299
+        with pytest.raises(OverflowError, match="more than 4300 digits"):
+            resource_count(cfg(10, 2, 4300, k=0))
+        # No limit, no refusal.
+        sys.set_int_max_str_digits(0)
+        assert resource_count(cfg(2, 2, 10000)) == 4**10000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_resource_count_refuses_a_huge_depth_without_building_the_count():
+    # (2 * 2)**(10**8) alone would take 25 MB and seconds to build.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match=r"about 2\*\*200000001 has"):
+            resource_count(ChainConfig(l=2, n=10**8, link=LINK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.set_int_max_str_digits(limit)
+    assert peak < 1_000_000
 
 
 def test_trace_csv_refuses_a_pair_count_past_the_int_to_str_limit():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -419,6 +420,12 @@ OVERFLOW_LINES = {
     # value past the float range is the total distance of a deeper depth.
     "[link]\nd_km = 1e300\n[sweep]\nstop = 30\n":
         "Overflow: depth 28: total distance is past the float range\n",
+    # l**x itself is past the float range before its product with d_km is.
+    "[link]\nd_km = 0.1\nf0 = 0.99\n"
+    "[chain]\nn = 1100\nepp_rounds_per_level = 3\n":
+        "Overflow: level 1024 latency is not a finite float (span inf km)\n",
+    "[link]\nd_km = 0.1\n[sweep]\nstop = 1100\n":
+        "Overflow: depth 1024: total distance is past the float range\n",
 }
 
 
@@ -429,6 +436,9 @@ OVERFLOW_LINES = {
     ("threshold", "[chain]\nc_es = 1e308\nc_epp = 1e308\n"
                   "[memory]\nmode = exponential\ntau_s = 0.01\n"),
     ("rate-sweep", "[link]\nd_km = 1e300\n[sweep]\nstop = 30\n"),
+    ("trace", "[link]\nd_km = 0.1\nf0 = 0.99\n"
+              "[chain]\nn = 1100\nepp_rounds_per_level = 3\n"),
+    ("rate-sweep", "[link]\nd_km = 0.1\n[sweep]\nstop = 1100\n"),
 ])
 def test_pair_count_overflow_is_one_line_not_a_traceback(capsys, tmp_path,
                                                          command, ini):
@@ -456,6 +466,22 @@ def test_trace_pair_count_too_long_to_print_writes_nothing(capsys, tmp_path):
                    "4300 digits\n")
     assert err == ""
     assert not out_path.exists()
+
+
+def test_rate_sweep_lists_no_depth_it_never_reaches(capsys, tmp_path):
+    # Past depth 1020 the total distance leaves the float range; listing all
+    # million depths first peaked near 100 MB.
+    cfg = write(tmp_path, "deep.ini", "[sweep]\nstop = 1000000\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
+                                 str(tmp_path / "out.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (1, "")
+    assert out == "Overflow: depth 1020: total distance is past the float range\n"
+    assert peak < 5_000_000
 
 
 def test_trace_prints_a_pair_count_past_64_bits(capsys, tmp_path):

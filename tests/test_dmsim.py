@@ -195,7 +195,7 @@ def test_check_density_matrix_rejects_bad_inputs():
 
 
 SMALL_NOISE_GRID = [
-    GateNoiseParams.ideal(),
+    GateNoiseParams(),
     GateNoiseParams(p1=0.99, p2=0.99, eta=0.995),
     GateNoiseParams(p1=0.95, p2=0.96, eta=0.97),
     GateNoiseParams(p1=1.0, p2=0.9, eta=0.8),
@@ -203,7 +203,7 @@ SMALL_NOISE_GRID = [
 
 
 def test_es_oracle_ideal_case():
-    result = es_oracle(1.0, 1.0, GateNoiseParams.ideal())
+    result = es_oracle(1.0, 1.0, GateNoiseParams())
     assert result.fidelity == pytest.approx(1.0, abs=1e-12)
     assert sorted(result.outcome_probabilities) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for p in result.outcome_probabilities.values():
@@ -232,23 +232,8 @@ def test_es_oracle_asymmetric_inputs_multiply_weights():
     assert es_oracle(f_a, f_b, g).fidelity == pytest.approx(expected, abs=1e-12)
 
 
-def test_es_oracle_alternative_noise_accounting_differs():
-    # Booking the one-qubit noise on the basis rotation instead of the two
-    # recovery operations is a genuinely different channel; the closed form
-    # tracks the default accounting only.
-    g = GateNoiseParams(p1=0.95, p2=0.99, eta=0.99)
-    alt = es_oracle(0.9, 0.9, g, noisy_hadamard=True, noisy_corrections=False)
-    assert abs(alt.fidelity - swap_chain_fidelity(0.9, 2, g)) > 1e-3
-    # with perfect one-qubit gates the two accountings coincide
-    g1 = GateNoiseParams(p1=1.0, p2=0.97, eta=0.99)
-    same = es_oracle(0.85, 0.85, g1, noisy_hadamard=True, noisy_corrections=False)
-    assert same.fidelity == pytest.approx(
-        swap_chain_fidelity(0.85, 2, g1), abs=1e-12
-    )
-
-
 def test_epp_oracle_perfect_inputs():
-    result = epp_oracle(1.0, GateNoiseParams.ideal())
+    result = epp_oracle(1.0, GateNoiseParams())
     assert result.f_out == pytest.approx(1.0, abs=1e-12)
     assert result.success_probability == pytest.approx(1.0, abs=1e-12)
 
@@ -265,7 +250,7 @@ def test_epp_oracle_matches_closed_form():
 
 def test_map_deviations_flags_a_corrupted_formula():
     fidelities = [0.6, 0.8, 1.0]
-    noise = [GateNoiseParams.ideal(), GateNoiseParams(p1=0.99, p2=0.98, eta=0.99)]
+    noise = [GateNoiseParams(), GateNoiseParams(p1=0.99, p2=0.98, eta=0.99)]
     honest = map_deviations(fidelities, noise)
     assert max(honest.values()) < 1e-12
 

@@ -1,5 +1,6 @@
 """Rate curves, threshold location, scaling classification."""
 
+import ast
 import importlib
 import math
 import os
@@ -24,7 +25,7 @@ from repeaterlab import (
     RatePoint,
     curves_from_csv,
     curves_to_csv,
-    direct_transmission_rate,
+    link_success_probability,
     purification_fixed_points,
     repeater_rate,
     scaling_fit,
@@ -34,7 +35,7 @@ from repeaterlab import (
 )
 from repeaterlab.rates import CURVES
 
-IDEAL = GateNoiseParams.ideal()
+IDEAL = GateNoiseParams()
 BASELINE = GateNoiseParams(p1=0.999, p2=0.99, eta=0.995)
 BASELINE_F_MIN = 0.5352241580492108
 
@@ -45,16 +46,23 @@ def curve_from_fn(fn, distances, metric="resource_normalized"):
     )
 
 
-def test_direct_transmission_rate():
+def within(curve, lo, hi):
+    """The part of ``curve`` with ``lo <= D <= hi``, as a curve of its own."""
+    return RateCurve(
+        curve.regime, tuple(p for p in curve.points if lo <= p.distance_km <= hi)
+    )
+
+
+def test_direct_rate_is_link_success_probability():
     link = LinkModel(alpha_db_per_km=0.2)
-    assert direct_transmission_rate(100.0, link) == pytest.approx(0.01, abs=1e-15)
-    assert direct_transmission_rate(0.0, link) == 1.0
+    assert link_success_probability(100.0, link) == pytest.approx(0.01, abs=1e-15)
+    assert link_success_probability(0.0, link) == 1.0
     half = LinkModel(alpha_db_per_km=0.1)
-    assert direct_transmission_rate(100.0, half) == pytest.approx(
-        math.sqrt(direct_transmission_rate(100.0, link)), rel=1e-12
+    assert link_success_probability(100.0, half) == pytest.approx(
+        math.sqrt(link_success_probability(100.0, link)), rel=1e-12
     )
     with pytest.raises(ValueError):
-        direct_transmission_rate(-5.0, link)
+        link_success_probability(-5.0, link)
 
 
 def test_usefulness_weight():
@@ -173,11 +181,11 @@ def test_scaling_fit_of_points_too_close_to_square_is_insufficient():
 def test_scaling_fit_window_and_minimum_points():
     distances = [100.0 * 2**k for k in range(8)]
     curve = curve_from_fn(lambda d: d**-1.5, distances)
-    fit = scaling_fit(curve, window=(200.0, 3200.0))  # 5 surviving points
+    fit = scaling_fit(within(curve, 200.0, 3200.0))  # 5 surviving points
     assert fit.kind == "polynomial"
     assert fit.parameter == pytest.approx(1.5, abs=0.01)
     with pytest.raises(InsufficientPointsError):
-        scaling_fit(curve, window=(200.0, 1600.0))
+        scaling_fit(within(curve, 200.0, 1600.0))
     with pytest.raises(InsufficientPointsError):
         scaling_fit(curve_from_fn(lambda d: d**-1.0, distances[:4]))
 
@@ -426,16 +434,32 @@ PUBLIC_NAMES = [
     "RatePoint", "RepeaterRate", "ScalingFit", "ScheduleRound", "ThresholdResult",
     "TraceStep", "apply_one_qubit_noisy", "apply_two_qubit_noisy", "bell_state",
     "build_schedule", "check_density_matrix", "classical_comm_time", "curves_from_csv",
-    "curves_to_csv", "direct_transmission_rate", "epp_oracle", "es_oracle",
-    "expand_operator", "expected_attempts", "fidelity_from_weight", "fidelity_to_bell",
-    "link_success_probability", "map_deviations", "measure_noisy", "memory_decay",
-    "partial_trace", "purification_fixed_points", "purify_ideal", "purify_noisy",
-    "purify_success_probability", "repeater_rate", "resource_count",
-    "resource_scaling_form", "round_time", "scaling_fit", "simulate_chain",
-    "swap_chain_fidelity", "sweep_rates", "threshold_distance", "trace_from_csv",
-    "trace_to_csv", "usefulness_weight", "validate_fidelity", "werner_state",
-    "werner_weight",
+    "curves_to_csv", "epp_oracle", "es_oracle", "expand_operator", "expected_attempts",
+    "fidelity_from_weight", "fidelity_to_bell", "link_success_probability",
+    "map_deviations", "measure_noisy", "memory_decay", "partial_trace",
+    "purification_fixed_points", "purify_noisy", "purify_success_probability",
+    "repeater_rate", "resource_count", "resource_scaling_form", "round_time",
+    "scaling_fit", "simulate_chain", "swap_chain_fidelity", "sweep_rates",
+    "threshold_distance", "trace_from_csv", "trace_to_csv", "usefulness_weight",
+    "validate_fidelity", "werner_state", "werner_weight",
 ]
+
+
+def test_every_function_the_benchmark_traces_exists():
+    """``perfbench/tracer.py`` wraps each ``module.fn`` of its ``LAYERS``;
+    one that no longer resolves would break every traced benchmark run."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    for module, names in layers.items():
+        home = importlib.import_module(f"repeaterlab.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"
 
 
 def test_package_names_are_their_modules_objects():

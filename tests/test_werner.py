@@ -11,7 +11,6 @@ from repeaterlab import (
     NoValidRangeError,
     fidelity_from_weight,
     purification_fixed_points,
-    purify_ideal,
     purify_noisy,
     purify_success_probability,
     swap_chain_fidelity,
@@ -35,7 +34,7 @@ ABOVE_FLOOR_GATES = GateNoiseParams(
 )
 
 
-def hp_purify_ideal(f):
+def hp_purify_perfect(f):
     F = mpf(f)
     Fb = (1 - F) / 3
     return float((F**2 + Fb**2) / (F**2 + 2 * F * Fb + 5 * Fb**2))
@@ -78,7 +77,7 @@ def hp_swap(f, l, g):
 
 
 NOISE_GRID = [
-    GateNoiseParams.ideal(),
+    GateNoiseParams(),
     GateNoiseParams(p1=0.99, p2=0.99, eta=0.99),
     GateNoiseParams(p1=0.95, p2=0.96, eta=0.97),
     GateNoiseParams(p1=1.0, p2=0.9, eta=0.8),
@@ -126,30 +125,38 @@ def test_gate_noise_params_validation():
             purification_fixed_points(g)
 
 
-def test_purify_ideal_frozen_value():
-    assert purify_ideal(0.8) == pytest.approx(PURIFY_IDEAL_AT_0P8, abs=1e-15)
+def test_purify_perfect_gates_frozen_value():
+    assert purify_noisy(0.8, GateNoiseParams()) == pytest.approx(
+        PURIFY_IDEAL_AT_0P8, abs=1e-15
+    )
 
 
-def test_purify_ideal_fixed_points_and_gain():
-    assert purify_ideal(0.5) == pytest.approx(0.5, abs=1e-15)
-    assert purify_ideal(1.0) == pytest.approx(1.0, abs=1e-15)
+def test_purify_perfect_gates_fixed_points_and_gain():
+    assert purify_noisy(0.5, GateNoiseParams()) == pytest.approx(0.5, abs=1e-15)
+    assert purify_noisy(1.0, GateNoiseParams()) == pytest.approx(1.0, abs=1e-15)
     for f in [0.55, 0.7, 0.9, 0.99]:
-        assert purify_ideal(f) > f
+        assert purify_noisy(f, GateNoiseParams()) > f
     for f in [0.3, 0.4, 0.45]:
-        assert purify_ideal(f) < f  # below the basin the map loses ground
+        # below the basin the map loses ground
+        assert purify_noisy(f, GateNoiseParams()) < f
 
 
-def test_purify_ideal_matches_high_precision():
+def test_purify_perfect_gates_matches_high_precision():
     for f in FIDELITY_GRID:
-        assert purify_ideal(f) == pytest.approx(hp_purify_ideal(f), abs=1e-13)
+        assert purify_noisy(f, GateNoiseParams()) == pytest.approx(
+            hp_purify_perfect(f), abs=1e-13
+        )
 
 
 def test_purify_noisy_reduces_to_ideal():
-    # Exactly: perfect gates take the general formula, with no shortcut.
-    ideal = GateNoiseParams.ideal()
+    # Perfect gates reduce the map to f_out = phi/lam, kept with probability
+    # lam, in the Bell coefficients f and fb = (1 - f)/3.
+    ideal = GateNoiseParams()
     for f in FIDELITY_GRID + [i / 200 for i in range(201)]:
-        assert purify_noisy(f, ideal) == purify_ideal(f)
-        assert purify_success_probability(f, ideal) == purify_success_probability(f)
+        fb = (1.0 - f) / 3.0
+        phi, lam = f * f + fb * fb, f * f + 2.0 * f * fb + 5.0 * fb * fb
+        assert purify_noisy(f, ideal) == pytest.approx(phi / lam, abs=1e-15)
+        assert purify_success_probability(f, ideal) == pytest.approx(lam, abs=1e-15)
 
 
 def test_purify_noisy_matches_high_precision():
@@ -170,8 +177,12 @@ def test_purify_noisy_ignores_one_qubit_gate_quality():
 
 def test_purify_success_probability():
     # ideal gates: the joint-pass weight at F=0.7 is 0.49 + 0.14 + 0.05
-    assert purify_success_probability(0.7) == pytest.approx(0.68, abs=1e-15)
-    assert purify_success_probability(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert purify_success_probability(0.7, GateNoiseParams()) == pytest.approx(
+        0.68, abs=1e-15
+    )
+    assert purify_success_probability(1.0, GateNoiseParams()) == pytest.approx(
+        1.0, abs=1e-15
+    )
     for g in NOISE_GRID:
         for f in FIDELITY_GRID:
             s = purify_success_probability(f, g)
@@ -187,7 +198,7 @@ def test_fully_mixed_pair_is_an_exact_fixed_point(g):
 
 
 def test_swap_chain_frozen_values():
-    ideal = GateNoiseParams.ideal()
+    ideal = GateNoiseParams()
     assert swap_chain_fidelity(0.96, 2, ideal) == pytest.approx(SWAP_L2_AT_0P96,
                                                                 abs=1e-15)
     assert swap_chain_fidelity(0.96, 3, ideal) == pytest.approx(SWAP_L3_AT_0P96,
@@ -217,13 +228,13 @@ def test_swap_chain_composes():
 
 def test_swap_chain_validates_segments():
     with pytest.raises(ValueError):
-        swap_chain_fidelity(0.9, 0, GateNoiseParams.ideal())
+        swap_chain_fidelity(0.9, 0, GateNoiseParams())
     with pytest.raises(ValueError):
-        swap_chain_fidelity(0.9, 2.5, GateNoiseParams.ideal())
+        swap_chain_fidelity(0.9, 2.5, GateNoiseParams())
 
 
 def test_fixed_points_ideal():
-    fp = purification_fixed_points(GateNoiseParams.ideal())
+    fp = purification_fixed_points(GateNoiseParams())
     assert abs(fp.f_min - 0.5) <= 1e-15
     assert abs(fp.f_max - 1.0) <= 1e-12
     assert not fp.marginal
@@ -241,7 +252,7 @@ def test_fixed_points_are_roots_of_the_full_residual():
     # The closed form drops the trivial root 1/4 from the cubic residual;
     # its roots must still zero the undivided map at 50 digits.
     for g in (
-        GateNoiseParams.ideal(),
+        GateNoiseParams(),
         GateNoiseParams(p1=0.99, p2=0.99, eta=0.99),
         GateNoiseParams(p1=0.95, p2=0.985, eta=0.99),
         BASELINE,
