@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import starmap
 
 from .noise import (
     LinkModel,
@@ -161,17 +162,22 @@ class TraceStep:
     elapsed_seconds: float
     pairs_consumed: int
 
+    @property
+    def degenerate(self) -> bool:
+        """Whether the pair is at the fully mixed floor, where a walk stops."""
+        return self.fidelity <= DEGENERACY_THRESHOLD
+
 
 @dataclass(frozen=True)
 class FidelityTrace:
-    """Stage-by-stage record of one simulated chain.
-
-    ``degenerate`` marks a run that was cut short because the fidelity hit
-    the fully mixed floor; the truncated steps are still recorded.
-    """
+    """Stage-by-stage record of one simulated chain, ``degenerate`` when it
+    was cut short at a step on the fully mixed floor."""
 
     steps: tuple[TraceStep, ...]
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.steps[-1].degenerate
 
     @property
     def final_fidelity(self) -> float:
@@ -193,8 +199,13 @@ def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
     over the level's full latency (time advances even when the memory is
     perfect), then each purification round.  Pair accounting is cumulative:
     a swap multiplies consumption by ``l``, each purification round by ``m``.
-    The walk never stops early; callers decide what degeneracy means.
+    A count a digit or more past what ``str`` prints raises ``OverflowError``
+    where it is built.  The walk never stops early; :func:`_steps` cuts it at
+    the fully mixed floor.
     """
+    limit = sys.get_int_max_str_digits()
+    # 2**max_bits >= 10**(limit + 1); a longer count has limit + 2 digits.
+    max_bits = math.ceil((limit + 1) * math.log2(10)) if limit else math.inf
     f = cfg.link.f0
     elapsed = 0.0
     pairs = 1
@@ -202,6 +213,8 @@ def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
     for x in range(1, cfg.n + 1):
         f = swap_chain_fidelity(f, cfg.l, g)
         pairs *= cfg.l
+        if pairs.bit_length() > max_bits:
+            raise _too_long(pairs.bit_length())
         yield x, "after_es", f, elapsed, pairs
         dt = round_time(x, cfg)
         f = memory_decay(f, dt, mem)
@@ -210,7 +223,17 @@ def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
         for _ in range(cfg.epp_rounds_per_level):
             f = purify_noisy(f, g)
             pairs *= cfg.m
+            if pairs.bit_length() > max_bits:
+                raise _too_long(pairs.bit_length())
             yield x, "after_epp", f, elapsed, pairs
+
+
+def _steps(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
+    """The walk's ``TraceStep``s, up to and including the first degenerate one."""
+    for step in starmap(TraceStep, _walk(cfg, g, mem)):
+        yield step
+        if step.degenerate:
+            return
 
 
 def simulate_chain(
@@ -220,15 +243,10 @@ def simulate_chain(
 
     The stages are those of the protocol walk, in order; the final pair
     count equals :func:`resource_count`.  If the fidelity ever falls to the
-    fully mixed floor the trace stops there with ``degenerate=True``.
+    fully mixed floor the trace stops there, ``degenerate``.
     """
-    steps = []
-    for row in _walk(cfg, g, mem):
-        step = TraceStep(*row)
-        steps.append(step)
-        if step.fidelity <= DEGENERACY_THRESHOLD:
-            return FidelityTrace(tuple(steps), True)
-    return FidelityTrace(tuple(steps))
+    # A list first: a tuple built from a generator is resized as it grows.
+    return FidelityTrace(tuple(list(_steps(cfg, g, mem))))
 
 
 def resource_count(cfg: ChainConfig) -> int:
@@ -237,17 +255,22 @@ def resource_count(cfg: ChainConfig) -> int:
     Every level multiplies consumption by ``l`` (swapping) and by ``m`` per
     purification round, giving ``(l * m**k)**n``: the exact int the last step
     of a full trace carries.  Raises ``OverflowError`` for a count too long to
-    print, without building it when ``n * log10(l * m**k)`` is a digit or more
-    past the limit.  Success probabilities are deliberately excluded; see
+    print, without building it or ``m**k`` when its log10,
+    ``n * (log10(l) + k * log10(m))``, is a digit or more past the limit.
+    Success probabilities are deliberately excluded; see
     :func:`expected_attempts` for the probabilistic cost.
     """
-    base = cfg.l * cfg.m**cfg.epp_rounds_per_level
+    l, m, k, n = cfg.l, cfg.m, cfg.epp_rounds_per_level, cfg.n
     limit = sys.get_int_max_str_digits()
-    # Compared rather than multiplied, so no huge n overflows a float.
-    if limit and cfg.n >= (limit + 1) / math.log10(base):
-        p, q = math.log2(base).as_integer_ratio()
-        raise _too_long(cfg.n * p // q + 1)
-    return _printable(base**cfg.n)
+    # Compared rather than multiplied, and k bounded before it meets a
+    # float, so no huge n or k overflows one.  n = 0 counts 1 for any k.
+    if limit and n and (
+        k >= (limit + 1) / math.log10(m)
+        or n >= (limit + 1) / (math.log10(l) + k * math.log10(m))
+    ):
+        (lp, lq), (mp, mq) = (math.log2(v).as_integer_ratio() for v in (l, m))
+        raise _too_long(n * (lp * mq + k * mp * lq) // (lq * mq) + 1)
+    return _printable(l**n * m ** (k * n))
 
 
 def _too_long(bits: int) -> OverflowError:
@@ -286,9 +309,10 @@ def expected_attempts(
     Extends :func:`resource_count` with the transmission success probability
     of each elementary link and the keep probability of each purification
     round (evaluated at the fidelity entering that round).  Purification keep
-    probabilities stay positive even for useless states, so this always
-    terminates; it measures the cost of finishing the protocol, not of
-    producing something worth keeping.
+    probabilities stay positive even for useless states, so this walks every
+    level; it measures the cost of finishing the protocol, not of producing
+    something worth keeping.  A pair count too long to print raises
+    ``OverflowError``, as it does in the walk.
     """
     attempts = 1.0 / link_success_probability(cfg.link.d_km, cfg.link)
     f = cfg.link.f0
@@ -330,26 +354,31 @@ def trace_to_csv(trace: FidelityTrace) -> str:
 def trace_from_csv(text: str) -> FidelityTrace:
     """Inverse of :func:`trace_to_csv`.
 
-    The degeneracy flag is not a CSV column; it is re-derived from the last
-    row, which is exact because simulation only ever stops early on a
-    fidelity at or below the floor, and :func:`trace_to_csv` never rounds a
-    fidelity across it.
+    The degeneracy flag is not a CSV column; it is read off the last row,
+    which is exact because :func:`trace_to_csv` never rounds a fidelity
+    across the floor.  A row with a fidelity outside [0, 1], an elapsed
+    time that is negative or not finite, or a pair count below 1 raises
+    ``ValueError`` naming the row.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != "level,stage,fidelity,elapsed_seconds,pairs_consumed":
         raise ValueError("missing or malformed trace CSV header")
     steps = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], 1):
         cells = line.split(",")
         if len(cells) != 5:
             raise ValueError(f"expected 5 CSV columns, got {line!r}")
         level, stage, fidelity, elapsed, pairs = cells
         if stage not in STAGES:
             raise ValueError(f"unknown trace stage {stage!r}")
-        steps.append(
-            TraceStep(int(level), stage, float(fidelity), float(elapsed), int(pairs))
-        )
+        step = TraceStep(int(level), stage, float(fidelity), float(elapsed), int(pairs))
+        if not (
+            0.0 <= step.fidelity <= 1.0
+            and 0.0 <= step.elapsed_seconds < math.inf
+            and step.pairs_consumed >= 1
+        ):
+            raise ValueError(f"trace CSV row {row} is out of range: {line!r}")
+        steps.append(step)
     if not steps:
         raise ValueError("trace CSV has no rows")
-    degenerate = steps[-1].fidelity <= DEGENERACY_THRESHOLD
-    return FidelityTrace(tuple(steps), degenerate)
+    return FidelityTrace(tuple(steps))

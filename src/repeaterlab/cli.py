@@ -10,6 +10,9 @@ Pair counts are exact integers.  Exit codes: 0 success, 1 analysis-level
 failure (no valid purification range, oracle deviation, too few points to
 fit, a pair count too long to print, a level latency or sweep distance past
 the float range) or a stdout closed by its reader, 2 usage or config errors.
+``trace`` refuses a pair count too long to print before it writes anything;
+``rate-sweep`` and ``threshold`` refuse it at the level of the walk that
+builds it, so ``threshold`` answers when a crossing comes first.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import NamedTuple, Sequence
 
-from .chain import ChainConfig, TraceStep, simulate_chain
+from .chain import ChainConfig, TraceStep, _steps
 from .noise import MemoryModel, link_success_probability
 from .werner import GateNoiseParams, purification_fixed_points, werner_weight
 
@@ -43,8 +43,10 @@ class RatePoint:
     def __post_init__(self) -> None:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; expected {METRICS}")
-        if self.distance_km <= 0.0:
-            raise ValueError(f"distance must be positive, got {self.distance_km!r}")
+        if not self.distance_km > 0.0 or not math.isfinite(self.distance_km):
+            raise ValueError(
+                f"distance must be finite and positive, got {self.distance_km!r}"
+            )
         if not self.rate > 0.0 or not math.isfinite(self.rate):
             raise ValueError(f"rate must be finite and positive, got {self.rate!r}")
 
@@ -57,8 +59,8 @@ class RateCurve:
     points: tuple[RatePoint, ...]
 
     def __post_init__(self) -> None:
-        distances = [p.distance_km for p in self.points]
-        if any(b <= a for a, b in zip(distances, distances[1:])):
+        # Written as "not a < b" so that a NaN distance fails it too.
+        if not all(a.distance_km < b.distance_km for a, b in pairwise(self.points)):
             raise ValueError("curve distances must increase strictly")
 
     @property
@@ -89,9 +91,9 @@ class RepeaterRate(NamedTuple):
     final_fidelity: float
 
 
-def _rates_at(end: TraceStep, degenerate: bool, f_useful: float) -> tuple[float, float]:
+def _rates_at(end: TraceStep, f_useful: float) -> tuple[float, float]:
     """Resource- and time-normalized rate of a chain whose trace ends at ``end``."""
-    s = 0.0 if degenerate else usefulness_weight(end.fidelity, f_useful)
+    s = 0.0 if end.degenerate else usefulness_weight(end.fidelity, f_useful)
     try:
         rate_resource = s / end.pairs_consumed
     except OverflowError:  # a count past the float range: under 2**-1024 per pair
@@ -109,7 +111,7 @@ def repeater_rate(
     mem: MemoryModel,
     f_useful: float | None = None,
 ) -> RepeaterRate:
-    """Both rate metrics for one chain, from its simulated trace.
+    """Both rate metrics for one chain, from the last step of its walk.
 
     ``f_useful`` defaults to the lower purification fixed point of ``g`` —
     the fidelity below which purification stops winning.  A degenerate
@@ -120,9 +122,9 @@ def repeater_rate(
     """
     if f_useful is None:
         f_useful = purification_fixed_points(g).f_min
-    trace = simulate_chain(cfg, g, mem)
-    end = trace.steps[-1]
-    return RepeaterRate(*_rates_at(end, trace.degenerate, f_useful), end.fidelity)
+    for end in _steps(cfg, g, mem):
+        pass
+    return RepeaterRate(*_rates_at(end, f_useful), end.fidelity)
 
 
 @dataclass(frozen=True)
@@ -145,25 +147,18 @@ def threshold_distance(
 ) -> ThresholdResult:
     """Locate the first level where stored pairs decay below ``f_min``.
 
-    Levels nest, so a single simulation at depth ``cfg.n`` exposes every
-    prefix: the crossing is read off the trace's post-decay records.  Below
-    ``f_min`` purification only lowers fidelity further, so the first dip is
-    terminal.  With a perfect memory there is nothing to cross.
+    Levels nest, so one walk at depth ``cfg.n`` exposes every prefix: the
+    crossing is its first post-decay step below ``f_min``, or the fully mixed
+    step it stops at.  Below ``f_min`` purification only lowers fidelity, so
+    the walk ends at the first dip.  A perfect memory has nothing to cross.
     """
     fp = purification_fixed_points(g)
     if mem.mode == "none":
         return ThresholdResult(math.inf, None, fp.f_min, None)
-    trace = simulate_chain(cfg, g, mem)
-    for step in trace.steps:
-        if step.stage == "after_memory" and step.fidelity < fp.f_min:
+    for step in _steps(cfg, g, mem):
+        if step.degenerate or (step.stage == "after_memory" and step.fidelity < fp.f_min):
             distance = cfg.span_km(step.level)
             return ThresholdResult(distance, step.level, fp.f_min, step.fidelity)
-    if trace.degenerate:
-        # Truncated before a post-decay record could dip: the pair is already
-        # fully mixed, which is certainly below f_min.
-        last = trace.steps[-1]
-        distance = cfg.span_km(last.level)
-        return ThresholdResult(distance, last.level, fp.f_min, last.fidelity)
     return ThresholdResult(math.inf, None, fp.f_min, None)
 
 
@@ -238,36 +233,35 @@ def sweep_rates(
 ) -> list[RateCurve]:
     """Rate curves over chain depth for the three regimes under study.
 
-    For each depth in ``n_values`` (ascending): direct transmission over the
-    same total distance, the repeater with a perfect memory, and the repeater
-    with ``mem``.  Repeater regimes yield one curve per metric; points whose
-    rate is exactly zero (degenerate chains, pair counts past the float range)
-    are omitted, since a rate curve carries only positive rates.  A depth whose
-    total distance is past the float range raises ``OverflowError``.
+    For each depth in ``n_values`` (strictly ascending, each checked against
+    the one before it): direct transmission over the same total distance, the
+    repeater with a perfect memory, and the repeater with ``mem``.  Repeater
+    regimes yield one curve per metric; points whose rate is exactly zero
+    (degenerate chains, pair counts past the float range) are omitted, since
+    a rate curve carries only positive rates.  A depth whose total distance
+    is past the float range raises ``OverflowError``.
 
     Levels nest and a level's latency does not depend on the depth, so each
-    regime is simulated once, at the deepest depth, and a shallower chain's
-    run is the prefix of that trace up to the last step of its level.
+    regime is walked once, to the deepest depth, keeping each level's last
+    step, where a shallower chain ends.  Depths past a fully mixed stop get
+    no repeater point.
     """
-    if any(a >= b for a, b in pairwise(n_values)):
-        raise ValueError("n_values must be strictly increasing")
     if f_useful is None:
         f_useful = purification_fixed_points(g).f_min
     deepest = replace(cfg, n=n_values[-1] if n_values else 0)
-    walks = []
-    for regime, regime_mem in (
-        ("repeater_ideal_memory", MemoryModel.none()),
-        ("repeater_noisy_memory", mem),
-    ):
-        trace = simulate_chain(deepest, g, regime_mem)
-        ends = {step.level: step for step in trace.steps}
-        # Every depth from the level where a trace degenerated on shares its
-        # truncated end.
-        last = trace.steps[-1]
-        stop = last.level if trace.degenerate else math.inf
-        walks.append((regime, ends, last, stop))
+    walks = [
+        (regime, {step.level: step for step in _steps(deepest, g, regime_mem)})
+        for regime, regime_mem in (
+            ("repeater_ideal_memory", MemoryModel.none()),
+            ("repeater_noisy_memory", mem),
+        )
+    ]
     points: dict[tuple[str, str], list[RatePoint]] = {key: [] for key in CURVES}
+    previous = -math.inf
     for n in n_values:
+        if n <= previous:
+            raise ValueError("n_values must be strictly increasing")
+        previous = n
         distance = replace(cfg, n=n).total_distance_km
         if math.isinf(distance):
             raise OverflowError(f"depth {n}: total distance is past the float range")
@@ -276,8 +270,8 @@ def sweep_rates(
             points["direct", "resource_normalized"].append(
                 RatePoint(distance, direct_rate, "resource_normalized")
             )
-        for regime, ends, last, stop in walks:
-            values = _rates_at(ends.get(n, last), n >= stop, f_useful)
+        for regime, ends in walks:
+            values = _rates_at(ends[n], f_useful) if n in ends else ()
             for metric, value in zip(METRICS, values):
                 if value > 0.0 and math.isfinite(value):
                     points[(regime, metric)].append(RatePoint(distance, value, metric))
@@ -296,14 +290,18 @@ def curves_to_csv(curves: Sequence[RateCurve]) -> str:
 
 
 def curves_from_csv(text: str) -> list[RateCurve]:
-    """Inverse of :func:`curves_to_csv`; curves are contiguous row blocks."""
+    """Inverse of :func:`curves_to_csv`; curves are contiguous row blocks.
+
+    A row that is not a valid :class:`RatePoint` raises ``ValueError`` naming
+    the row.
+    """
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != "distance_km,rate,metric,regime":
         raise ValueError("missing or malformed rate-curve CSV header")
     curves: list[RateCurve] = []
     block: list[RatePoint] = []
     block_key: tuple[str, str] | None = None
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], 1):
         cells = line.split(",")
         if len(cells) != 4:
             raise ValueError(f"expected 4 CSV columns, got {line!r}")
@@ -313,7 +311,10 @@ def curves_from_csv(text: str) -> list[RateCurve]:
             curves.append(RateCurve(block_key[0], tuple(block)))
             block = []
         block_key = key
-        block.append(RatePoint(float(distance), float(rate), metric))
+        try:
+            block.append(RatePoint(float(distance), float(rate), metric))
+        except ValueError as exc:
+            raise ValueError(f"rate-curve CSV row {row}: {exc}") from None
     if block_key is not None:
         curves.append(RateCurve(block_key[0], tuple(block)))
     return curves

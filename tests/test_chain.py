@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import repeaterlab.chain as chain_module
 from repeaterlab import (
     ChainConfig,
     FidelityTrace,
@@ -23,6 +24,8 @@ from repeaterlab import (
     round_time,
     simulate_chain,
     swap_chain_fidelity,
+    sweep_rates,
+    threshold_distance,
     trace_from_csv,
     trace_to_csv,
 )
@@ -282,6 +285,11 @@ def test_resource_count_closed_forms():
         assert resource_count(cfg(10, 2, 4299, k=0)) == 10**4299
         with pytest.raises(OverflowError, match="more than 4300 digits"):
             resource_count(cfg(10, 2, 4300, k=0))
+        # A purification depth past the float range is refused too, and a
+        # chain of no levels still counts one pair for any depth.
+        with pytest.raises(OverflowError, match="more than 4300 digits"):
+            resource_count(cfg(2, 2, 1, k=10**400))
+        assert resource_count(cfg(2, 2, 0, k=10**400)) == 1
         # No limit, no refusal.
         sys.set_int_max_str_digits(0)
         assert resource_count(cfg(2, 2, 10000)) == 4**10000
@@ -290,13 +298,15 @@ def test_resource_count_closed_forms():
 
 
 def test_resource_count_refuses_a_huge_depth_without_building_the_count():
-    # (2 * 2)**(10**8) alone would take 25 MB and seconds to build.
+    # (2 * 2)**(10**8) alone would take 25 MB and seconds to build, and
+    # 2**(10**8), the purification factor of 10**8 rounds, 12.5 MB.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     tracemalloc.start()
     try:
-        with pytest.raises(OverflowError, match=r"about 2\*\*200000001 has"):
-            resource_count(ChainConfig(l=2, n=10**8, link=LINK))
+        for n, k, bits in ((10**8, 1, 200000001), (1, 10**8, 100000002)):
+            with pytest.raises(OverflowError, match=rf"about 2\*\*{bits} has"):
+                resource_count(ChainConfig(l=2, n=n, link=LINK, epp_rounds_per_level=k))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,17 +314,66 @@ def test_resource_count_refuses_a_huge_depth_without_building_the_count():
     assert peak < 1_000_000
 
 
-def test_trace_csv_refuses_a_pair_count_past_the_int_to_str_limit():
-    cfg = ChainConfig(l=2, n=700, link=LinkModel(), epp_rounds_per_level=20)
-    trace = simulate_chain(cfg, GateNoiseParams(), MemoryModel.none())
+def test_the_walk_refuses_a_pair_count_where_it_builds_it():
+    # At 4,300 digits, 2**14287 (4,301 digits) is left to the exact check of
+    # whoever prints it; 2**14288 is a digit further and the walk refuses it.
+    def cfg(k):
+        return ChainConfig(l=2, n=1, link=LINK, epp_rounds_per_level=k)
+
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
+        assert expected_attempts(cfg(14286), IDEAL, MemoryModel.none()) == math.inf
+        with pytest.raises(OverflowError, match="more than 4300 digits"):
+            resource_count(cfg(14286))
+        for reader in (expected_attempts, simulate_chain, threshold_distance):
+            with pytest.raises(OverflowError, match=r"about 2\*\*14289 has more than 4300"):
+                reader(cfg(14287), IDEAL, MemoryModel.exponential(1e3))
+        with pytest.raises(OverflowError, match=r"about 2\*\*14289 has"):
+            sweep_rates(cfg(14287), IDEAL, MemoryModel.none(), [1])
+        # No limit, no refusal.
+        sys.set_int_max_str_digits(0)
+        assert expected_attempts(cfg(14287), IDEAL, MemoryModel.none()) == math.inf
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("name", ["purify_noisy", "swap_chain_fidelity", "memory_decay"])
+def test_every_walk_reader_sees_a_map_rebound_in_chain(monkeypatch, name):
+    # A profiler or a test double replaces a map by rebinding the name the
+    # walk looks up in this module; every reader of the walk must see it.
+    link = LinkModel(d_km=25.0, f0=0.96, c_signal_km_s=3e5)
+    cfg = ChainConfig(l=2, n=4, link=link, epp_rounds_per_level=1)
+    mem = MemoryModel.exponential(5e-3)
+
+    def readers():
+        return (
+            simulate_chain(cfg, BASELINE, mem),
+            sweep_rates(cfg, BASELINE, mem, [1, 2, 3, 4]),
+            threshold_distance(cfg, BASELINE, mem),
+            expected_attempts(cfg, BASELINE, mem),
+        )
+
+    before = readers()
+    original = getattr(chain_module, name)
+    monkeypatch.setattr(chain_module, name, lambda *args: original(*args) * (1 - 1e-9))
+    after = readers()
+    assert [a != b for a, b in zip(before, after)] == [True] * 4
+
+
+def test_trace_csv_refuses_a_pair_count_past_the_int_to_str_limit():
+    cfg = ChainConfig(l=2, n=700, link=LinkModel(), epp_rounds_per_level=20)
+    limit = sys.get_int_max_str_digits()
+    # The walk itself refuses such a count, so build the trace with no limit.
+    sys.set_int_max_str_digits(0)
+    try:
+        trace = simulate_chain(cfg, GateNoiseParams(), MemoryModel.none())
+        sys.set_int_max_str_digits(4300)
         with pytest.raises(OverflowError, match="more than 4300 digits"):
             trace_to_csv(trace)
         # The bound is exact: 4,300 digits are written, 4,301 refused.
         for count, fits in ((10**4299, True), (10**4300, False)):
-            edge = FidelityTrace((TraceStep(0, "init", 0.9, 0.0, count),), False)
+            edge = FidelityTrace((TraceStep(0, "init", 0.9, 0.0, count),))
             if fits:
                 assert trace_to_csv(edge).endswith(f",{count}\n")
             else:
@@ -388,3 +447,14 @@ def test_trace_csv_rejects_malformed_input():
         )
     with pytest.raises(ValueError):
         trace_from_csv("level,stage,fidelity,elapsed_seconds,pairs_consumed\n")
+    header = "level,stage,fidelity,elapsed_seconds,pairs_consumed\n0,init,0.9,0,1\n"
+    for row in ("1,after_es,nan,0,2", "1,after_es,7.5,0,2", "1,after_es,-0.1,0,2",
+                "1,after_memory,0.8,-1,2", "1,after_memory,0.8,inf,2",
+                "1,after_memory,0.8,nan,2", "1,after_epp,0.8,0.1,-5",
+                "1,after_epp,0.8,0.1,0"):
+        with pytest.raises(ValueError, match=f"row 2 is out of range: '{row}'"):
+            trace_from_csv(header + row + "\n")
+    # A walk can end a rounding error below 1/4; such a row still reads back.
+    floor = trace_from_csv(header + "1,after_es,0.24999999999999994,0,2\n")
+    assert floor.degenerate
+    assert floor.final_fidelity == 0.24999999999999994

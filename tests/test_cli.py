@@ -484,6 +484,63 @@ def test_rate_sweep_lists_no_depth_it_never_reaches(capsys, tmp_path):
     assert peak < 5_000_000
 
 
+def test_trace_refuses_a_huge_purification_depth_without_building_the_count(
+        capsys, tmp_path):
+    cfg = write(tmp_path, "deep.ini", "[chain]\nn = 1\nepp_rounds_per_level = 100000000\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "trace", "--config", cfg, "--out",
+                                 str(tmp_path / "out.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (1, "")
+    assert out == ("Overflow: pair count of about 2**100000002 has more than "
+                   "4300 digits\n")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("command, ini", [
+    ("rate-sweep", "[chain]\nepp_rounds_per_level = 10000\n"),
+    ("threshold", "[chain]\nepp_rounds_per_level = 10000\n"
+                  "[memory]\nmode = exponential\ntau_s = 1000\n"),
+])
+def test_a_walk_past_the_printable_pair_count_stops_where_it_gets_there(
+        capsys, tmp_path, command, ini):
+    # Level 2 would hold 2**20002 pairs after 4,288 of its 10,000 rounds.
+    cfg = write(tmp_path, "deep.ini", ini)
+    out_path = tmp_path / "out.csv"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, command, "--config", cfg, "--out",
+                                 str(out_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (1, "")
+    assert out == "Overflow: pair count of about 2**14289 has more than 4300 digits\n"
+    assert not out_path.exists()
+    assert peak < 5_000_000
+
+
+def test_threshold_answers_before_a_deeper_level_overflows(capsys, tmp_path):
+    # Level 5 crosses f_min; level 8's span is past the float range, but the
+    # walk never gets there.
+    cfg = write(tmp_path, "far.ini",
+                "[link]\nd_km = 1e306\n[chain]\nn = 10\nepp_rounds_per_level = 0\n"
+                "[memory]\nmode = exponential\ntau_s = 1e308\n")
+    code, out, err = run_cli(capsys, "threshold", "--config", cfg)
+    assert (code, err) == (0, "")
+    assert out == ("D_th_km=3.2e+307 level=5 f_min=0.5 "
+                   "crossing_fidelity=0.379826849884\n")
+
+
 def test_trace_prints_a_pair_count_past_64_bits(capsys, tmp_path):
     cfg = write(tmp_path, "deep.ini", "[chain]\nn = 32\n")
     out_path = tmp_path / "out.csv"

@@ -7,8 +7,11 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,9 +210,19 @@ def test_rate_point_and_curve_validation():
         RatePoint(100.0, 0.0, "resource_normalized")
     with pytest.raises(ValueError):
         RatePoint(-1.0, 0.5, "resource_normalized")
+    for distance, rate in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                           (100.0, math.nan), (100.0, math.inf)):
+        with pytest.raises(ValueError):
+            RatePoint(distance, rate, "resource_normalized")
     good = RatePoint(100.0, 0.5, "resource_normalized")
     with pytest.raises(ValueError):
         RateCurve("x", (good, RatePoint(50.0, 0.5, "resource_normalized")))
+    # A point that skipped RatePoint's checks: NaN compares false both ways,
+    # so the curve's strict order must not read it as in order.
+    stray = SimpleNamespace(distance_km=math.nan, rate=1.0, metric="resource_normalized")
+    for points in ((good, stray), (stray, good)):
+        with pytest.raises(ValueError):
+            RateCurve("x", points)
 
 
 def test_sweep_rates_structure():
@@ -234,8 +247,9 @@ def test_sweep_rates_structure():
     for curve in curves:
         distances = [p.distance_km for p in curve.points]
         assert distances == sorted(distances)
-    with pytest.raises(ValueError):
-        sweep_rates(cfg, BASELINE, MemoryModel.none(), [3, 2, 1])
+    for n_values in ([3, 2, 1], [1, 1], [0, 2, 2, 3]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep_rates(cfg, BASELINE, MemoryModel.none(), n_values)
 
 
 @pytest.mark.parametrize("n_values, error", [
@@ -249,6 +263,54 @@ def test_sweep_rates_refuses_the_depths_chain_config_refuses(n_values, error):
     cfg = ChainConfig(l=2, n=3, link=LinkModel())
     with pytest.raises(error):
         sweep_rates(cfg, BASELINE, MemoryModel.none(), n_values)
+
+
+class _Depths(Sequence):
+    """Depths 0 .. size - 1 that refuse to be read more than ``reads`` times."""
+
+    def __init__(self, size, reads):
+        self.size, self.reads = size, reads
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        self.reads -= 1
+        if self.reads < 0:
+            raise AssertionError("read more depths than a sweep can use")
+        return range(self.size)[i]
+
+
+def test_sweep_rates_checks_each_depth_only_when_it_gets_there():
+    # Past depth 1020 the total distance leaves the float range, so no more
+    # than that many depths of a million can ever be read.
+    cfg = ChainConfig(l=2, n=3, link=LinkModel())
+    with pytest.raises(OverflowError, match="depth 1020: total distance"):
+        sweep_rates(cfg, IDEAL, MemoryModel.none(), _Depths(10**6, 2000))
+
+
+@pytest.mark.parametrize("reader", ["sweep_rates", "threshold_distance", "repeater_rate"])
+def test_rate_readers_keep_no_trace(reader):
+    # 1,400 purification rounds a level: 14,000 steps, each with an exact
+    # pair count of up to 2**14011, still printable.  A stored trace holds
+    # all of them (about 16 MB); a reader needs only a few.
+    cfg = ChainConfig(l=2, n=10, link=LinkModel(), epp_rounds_per_level=1400)
+    mem = MemoryModel.exponential(1000.0)
+    call = {
+        "sweep_rates": lambda: sweep_rates(cfg, IDEAL, mem, range(1, 11)),
+        "threshold_distance": lambda: threshold_distance(cfg, IDEAL, mem),
+        "repeater_rate": lambda: repeater_rate(cfg, IDEAL, mem),
+    }[reader]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.set_int_max_str_digits(limit)
+    assert peak < 1_000_000
 
 
 def test_resource_rate_is_zero_once_the_pair_count_leaves_the_float_range():
@@ -275,6 +337,10 @@ def test_curves_csv_round_trip():
         curves_from_csv("bad,header,row\n")
     with pytest.raises(ValueError):
         curves_from_csv("distance_km,rate,metric,regime\n1,2,3\n")
+    header = "distance_km,rate,metric,regime\n50,0.5,resource_normalized,direct\n"
+    for row in ("nan,0.5", "inf,0.5", "-50,0.5", "100,nan", "100,inf", "100,0", "x,0.5"):
+        with pytest.raises(ValueError, match="rate-curve CSV row 2: "):
+            curves_from_csv(header + row + ",resource_normalized,direct\n")
 
 
 @pytest.mark.parametrize(
