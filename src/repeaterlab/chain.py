@@ -27,6 +27,7 @@ from .noise import (
 from .werner import (
     DEGENERACY_THRESHOLD,
     GateNoiseParams,
+    _refuse_bool,
     purify_noisy,
     purify_success_probability,
     swap_chain_fidelity,
@@ -74,6 +75,7 @@ class ChainConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         for name in ("c_es", "c_epp"):
             value = getattr(self, name)
+            _refuse_bool(name, value)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 

@@ -45,8 +45,6 @@ from .werner import (
     validate_fidelity,
 )
 
-ORACLE_TOLERANCE = 1e-9
-
 #: Every config key and the type its value converts to.  Keys left out fall
 #: back to the defaults of the object their section builds.
 _SECTION_KEYS = {
@@ -242,7 +240,7 @@ def cmd_rate_sweep(run: RunConfig, args) -> int:
 
 def cmd_oracle_check(run: RunConfig, args) -> int:
     # The oracle is the only numpy user; other subcommands skip its import.
-    from .dmsim import map_deviations
+    from .dmsim import ORACLE_TOLERANCE, map_deviations
 
     # The 15 points of numpy.linspace(0.3, 1.0, 15), bit for bit.
     fidelities = [0.3 + i * ((1.0 - 0.3) / 14) for i in range(14)] + [1.0]

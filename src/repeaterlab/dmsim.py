@@ -1,26 +1,39 @@
 """Small dense density-matrix simulator used as ground truth for the maps.
 
 Everything here enumerates measurement branches exhaustively; nothing is
-sampled.  States are plain complex ndarrays of shape (2^n, 2^n) with qubit 0
-as the leftmost tensor factor.  The two reference circuits (`es_oracle`,
-`epp_oracle`) rebuild the swap and purification fidelity maps from explicit
-noisy gates, measurements and recovery operations, so the closed forms in
-:mod:`repeaterlab.werner` can be checked against circuit-level truth.
+sampled.  A state is a complex ndarray of shape ``(*batch, 2^n, 2^n)`` with
+qubit 0 as the leftmost tensor factor.  The public functions take a single
+matrix, batch shape ``()``; the private kernels under them take any number
+of leading batch axes and act on every matrix of the stack in one call.  The
+two reference circuits (`es_oracle`, `epp_oracle`) rebuild the swap and
+purification fidelity maps from explicit noisy gates, measurements and
+recovery operations, so the closed forms in :mod:`repeaterlab.werner` can be
+checked against circuit-level truth.
 
-Operators are applied by contracting the ``(2,)*2n`` state tensor on the
-target axes, from the left and the right, so no ``2^n x 2^n`` operator is
-ever built: gates are two ``np.einsum`` calls, readout weights the blocks
+Operators are applied by contracting the ``(*batch, 2, ..., 2)`` state
+tensor on the target axes, from the left and the right, so no ``2^n x 2^n``
+operator is ever built: gates are two ``np.einsum`` calls whose cached
+subscripts start with ``...`` for the batch axes, readout weights the blocks
 of the target's row and column axes, and a fresh mixed qubit is an outer
-product with ``I/2``.  :func:`expand_operator` builds the full embedded operator
-explicitly; the oracles never call it, and it is the reference the
+product with ``I/2``.  :func:`expand_operator` builds the full embedded
+operator explicitly; the oracles never call it, and it is the reference the
 contraction paths are tested against.
 
-The primitives keep their per-call cost low without changing a bit of
-their arithmetic.  Position checks run once per (operator shape, positions,
-position types, qubit count) and are memoized after that.
-The Bell vectors, their conjugates and their projectors are built once, at
-import, and are read-only, as is ``I2``.  A correction that is the
-identity ``I2`` copies the state instead of contracting it.
+A circuit is one straight-line pass over a batch.  A readout puts the
+reported outcome on a new axis just before the matrix axes and leaves the
+branch states unnormalized, so a branch's trace is its probability, every
+later step acts on all branches at once, and a branch of probability zero is
+a zero matrix that adds nothing to the result.  Conditional corrections are
+stacks of operators, one per outcome, broadcast against the branch axes.
+:func:`map_deviations` puts the fidelities of one gate set on the batch
+axis, so each gate set costs one pass of each circuit.
+
+The public primitives check their arguments on every call; the circuits
+check their gate set once per pass, and their qubit positions are literals.
+Position checks are memoized per (operator shape, positions, position types,
+qubit count).  The Bell vectors, their conjugates and their projectors are
+built once, at import, and are read-only, as are ``I2`` and the correction
+stacks.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ import functools
 import math
 import numbers
 import string
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +87,26 @@ _BELL_BRAS = {kind: v.conj() for kind, v in _BELL_VECTORS.items()}
 _BELL_PROJECTORS = {kind: np.outer(v, v.conj()) for kind, v in _BELL_VECTORS.items()}
 #: The state a depolarized qubit is replaced by.
 _HALF_I2 = I2 / 2.0
-# The primitives use these without copying, and apply_one_qubit_noisy treats
-# ``op is I2`` as the identity, so none of them may change.
+#: The swap's recovery on qubit 3, indexed by the reported bits: Z^m1 stacked
+#: on the m1 axis (the one before m2), X^m2 on the m2 axis.
+_Z_CORRECTIONS = np.stack([I2, Z])[:, None]
+_X_CORRECTIONS = np.stack([I2, X])
+#: ``_VALUE_MASK[v, :, u, :]`` is 1 where the measured qubit reads ``u == v``.
+_VALUE_MASK = np.eye(2).reshape(2, 1, 2, 1)
+# The kernels use these without copying, so none of them may change.
 for _constant in (
-    I2, _HALF_I2,
+    I2, _HALF_I2, _Z_CORRECTIONS, _X_CORRECTIONS, _VALUE_MASK,
     *_BELL_VECTORS.values(), *_BELL_BRAS.values(), *_BELL_PROJECTORS.values(),
 ):
     _constant.flags.writeable = False
 del _constant
+
+#: Largest disagreement between a circuit and a closed form that is still
+#: read as rounding: 64 ulp of 1, about 1.4e-14.  The circuits stay within
+#: 9e-16 of the maps on the ``oracle-check`` grid, while a relative error of
+#: 1e-12 in a map moves it by at least 2.5e-13.
+ORACLE_TOLERANCE = 64 * sys.float_info.epsilon
+
 
 def num_qubits(rho: np.ndarray) -> int:
     """Qubit count of a square matrix whose dimension is a power of two."""
@@ -97,6 +123,12 @@ def _check_probability(p: float, name: str) -> None:
     """Raise unless the gate reliability ``p`` lies in [0, 1]; NaN is refused."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+
+
+def _check_eta(eta: float) -> None:
+    """Raise unless the readout fidelity ``eta`` lies in (1/2, 1]."""
+    if not 0.5 < eta <= 1.0:
+        raise ValueError(f"eta must lie in (0.5, 1], got {eta!r}")
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
@@ -125,17 +157,35 @@ def bell_state(kind: BellKind) -> np.ndarray:
 
 def werner_state(f: float) -> np.ndarray:
     """Werner pair: weight ``f`` on phi+, ``(1-f)/3`` on each other Bell state."""
-    f = validate_fidelity(f)
+    return _werner_states(validate_fidelity(f))
+
+
+def _werner_states(f) -> np.ndarray:
+    """Werner pairs of the checked fidelities ``f``, shape ``np.shape(f) + (4, 4)``."""
+    f = np.asarray(f, dtype=float)[..., None, None]
     rest = (1.0 - f) / 3.0
     phi_plus, phi_minus, psi_plus, psi_minus = _BELL_PROJECTORS.values()
     return f * phi_plus + rest * phi_minus + rest * psi_plus + rest * psi_minus
+
+
+def _pair_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of each pair of two-qubit states: ``a`` on qubits (0, 1),
+    ``b`` on (2, 3).  The outer product's axes (a row, b row, a column, b
+    column) are already the row and column order of the product."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (16, 16))
 
 
 def fidelity_to_bell(rho: np.ndarray, kind: BellKind = BellKind.PHI_PLUS) -> float:
     """Overlap <bell| rho |bell> of a two-qubit state with a Bell state."""
     if num_qubits(rho) != 2:
         raise ValueError("fidelity_to_bell expects a two-qubit state")
-    return float(np.real(_BELL_BRAS[kind] @ rho @ _BELL_VECTORS[kind]))
+    return float(_bell_overlap(rho, kind))
+
+
+def _bell_overlap(rho: np.ndarray, kind: BellKind = BellKind.PHI_PLUS) -> np.ndarray:
+    """Real part of <bell| rho |bell> for each two-qubit state of the batch."""
+    return np.real(_BELL_BRAS[kind] @ rho @ _BELL_VECTORS[kind])
 
 
 def _check_targets(shape: tuple[int, ...] | None, positions, n: int) -> None:
@@ -155,7 +205,7 @@ def _check_targets(shape: tuple[int, ...] | None, positions, n: int) -> None:
         raise ValueError(f"positions {key} invalid for {n} qubits") from None
 
 
-# Only keys that pass are stored, and the oracles use a few dozen.
+# Only keys that pass are stored, and the primitives' callers use a few dozen.
 @functools.lru_cache(maxsize=1024)
 def _check_targets_once(
     shape: tuple[int, ...] | None, positions: tuple, types: tuple[type, ...], n: int
@@ -188,14 +238,32 @@ def expand_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.nd
     return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
 
 
+def _qubits(rho: np.ndarray) -> int:
+    """Qubit count of a stack of ``2^n x 2^n`` matrices, unchecked."""
+    return rho.shape[-1].bit_length() - 1
+
+
+def _tensor(rho: np.ndarray, n: int) -> np.ndarray:
+    """``rho`` with each matrix axis split into ``n`` qubit axes of length 2."""
+    return rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
+
+
+def _adjoint(tensor: np.ndarray, n: int) -> np.ndarray:
+    """Contiguous conjugate transposes of an ``n``-qubit state tensor's matrices."""
+    dim = 1 << n
+    matrices = tensor.reshape(tensor.shape[: tensor.ndim - 2 * n] + (dim, dim))
+    return np.ascontiguousarray(matrices.conj().swapaxes(-1, -2))
+
+
 @functools.lru_cache(maxsize=None)
 def _left_subscripts(n: int, targets: tuple[int, ...]) -> str:
     """Einsum subscripts of ``op @ rho`` for a k-qubit ``op`` on ``targets``.
 
-    The state tensor has row axes ``rows`` and column axes ``cols``; ``op``,
-    reshaped to ``(2,)*2k``, has its output axes first.  The contraction sums
-    the target row axes against ``op``'s input axes and puts its output axes
-    in their place.
+    The state tensor has batch axes ``...``, row axes ``rows`` and column
+    axes ``cols``; ``op``, with each matrix axis split into k axes, has its
+    output axes first and may carry batch axes of its own, broadcast against
+    the state's.  The contraction sums the target row axes against ``op``'s
+    input axes and puts its output axes in their place.
     """
     k = len(targets)
     rows, cols = string.ascii_letters[:n], string.ascii_letters[n : 2 * n]
@@ -204,27 +272,24 @@ def _left_subscripts(n: int, targets: tuple[int, ...]) -> str:
     for q, letter in zip(targets, fresh):
         out[q] = letter
     summed = "".join(rows[q] for q in targets)
-    return f"{fresh}{summed},{rows}{cols}->{''.join(out)}{cols}"
+    return f"...{fresh}{summed},...{rows}{cols}->...{''.join(out)}{cols}"
 
 
-def _conjugate(
-    rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int
-) -> np.ndarray:
+def _conjugate(rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """``U rho U^H`` for ``op`` acting on ``targets``, by tensor contraction.
 
-    The caller has checked ``op`` and ``targets`` against the ``n`` qubits
-    of ``rho``.  The right factor is applied as ``U rho U^H = (U (U
-    rho)^H)^H``, so both contractions sum over row axes.  With the column
-    axes innermost in memory, einsum runs a row-side contraction about three
-    times as fast as the same contraction on the column side (four qubits).
+    ``op`` is one ``2^k x 2^k`` matrix or a stack of them whose batch axes
+    broadcast against those of ``rho``.  The right factor is applied as
+    ``U rho U^H = (U (U rho)^H)^H``, so both contractions sum over row axes.
+    With the column axes innermost in memory, einsum runs a row-side
+    contraction about three times as fast as the same contraction on the
+    column side (four qubits).
     """
+    n = _qubits(rho)
     subscripts = _left_subscripts(n, targets)
-    gate = op.reshape((2,) * (2 * len(targets)))
-    tensor_shape = (2,) * (2 * n)
-    half = np.einsum(subscripts, gate, rho.reshape(tensor_shape))
-    half = np.ascontiguousarray(half.reshape(rho.shape).conj().T)
-    full = np.einsum(subscripts, gate, half.reshape(tensor_shape))
-    return np.ascontiguousarray(full.reshape(rho.shape).conj().T)
+    gate = op.reshape(op.shape[:-2] + (2,) * (2 * len(targets)))
+    half = _adjoint(np.einsum(subscripts, gate, _tensor(rho, n)), n)
+    return _adjoint(np.einsum(subscripts, gate, _tensor(half, n)), n)
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -234,32 +299,56 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     _check_targets(None, keep, n)
     if list(keep) != sorted(keep):
         raise ValueError(f"keep indices must be sorted, got {keep!r}")
-    tensor = rho.reshape([2] * (2 * n))
-    reduced = np.einsum(_trace_subscripts(n, keep), tensor)
-    k = len(keep)
-    return np.ascontiguousarray(reduced.reshape(2**k, 2**k))
+    return _partial_trace(rho, keep)
+
+
+def _partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The reduced states on the sorted qubits ``keep``, for each matrix of ``rho``."""
+    n = _qubits(rho)
+    reduced = np.einsum(_trace_subscripts(n, keep), _tensor(rho, n))
+    dim = 1 << len(keep)
+    return np.ascontiguousarray(reduced.reshape(rho.shape[:-2] + (dim, dim)))
 
 
 @functools.lru_cache(maxsize=None)
 def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
-    """Einsum subscripts of :func:`partial_trace` keeping the sorted ``keep``."""
+    """Einsum subscripts of :func:`_partial_trace` keeping the sorted ``keep``."""
     rows = [chr(ord("a") + q) for q in range(n)]
     cols = [rows[q].upper() if q in keep else rows[q] for q in range(n)]
     out = "".join(rows[q] for q in keep) + "".join(rows[q].upper() for q in keep)
-    return "".join(rows) + "".join(cols) + "->" + out
+    return "..." + "".join(rows) + "".join(cols) + "->..." + out
 
 
 def _insert_mixed_qubit(rho: np.ndarray, position: int) -> np.ndarray:
-    """Tensor a fresh maximally mixed qubit into ``rho`` at ``position``."""
-    n = num_qubits(rho) + 1
-    grown = np.multiply.outer(rho.reshape((2,) * (2 * n - 2)), _HALF_I2)
+    """Tensor a fresh maximally mixed qubit into each matrix of ``rho`` at ``position``."""
+    n = _qubits(rho) + 1
+    batch = rho.shape[:-2]
+    grown = np.multiply.outer(_tensor(rho, n - 1), _HALF_I2)
     # The new qubit's row and column axes come last; move them to ``position``
-    # and ``n + position``.  A plain transpose costs less than np.moveaxis,
-    # which normalises its axis arguments on every call.
-    order = list(range(2 * n - 2))
-    order.insert(position, 2 * n - 2)
-    order.insert(n + position, 2 * n - 1)
-    return grown.transpose(order).reshape(2**n, 2**n)
+    # and ``n + position`` after the batch axes.  A plain transpose costs less
+    # than np.moveaxis, which normalises its axis arguments on every call.
+    b = len(batch)
+    order = list(range(b + 2 * n - 2))
+    order.insert(b + position, b + 2 * n - 2)
+    order.insert(b + n + position, b + 2 * n - 1)
+    return grown.transpose(order).reshape(batch + (2**n, 2**n))
+
+
+def _noisy(
+    rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...], p: float
+) -> np.ndarray:
+    """Depolarizing gate: with probability ``p`` the ideal ``op`` acts on
+    ``targets``, otherwise those qubits are replaced by maximally mixed ones
+    in place.  ``op`` may be a stack, as in :func:`_conjugate`.
+    """
+    ideal = _conjugate(rho, op, targets)
+    if p == 1.0:
+        return ideal
+    n = _qubits(rho)
+    regrown = _partial_trace(rho, tuple(q for q in range(n) if q not in targets))
+    for q in sorted(targets):
+        regrown = _insert_mixed_qubit(regrown, q)
+    return p * ideal + (1.0 - p) * regrown
 
 
 def apply_one_qubit_noisy(
@@ -269,36 +358,20 @@ def apply_one_qubit_noisy(
 
     With probability ``p1`` the ideal ``op`` acts on ``target``; otherwise the
     target qubit is discarded and replaced by a maximally mixed one in place.
-    For ``op is I2`` the ideal part is a copy of ``rho``: contracting the
-    identity would compute ``1*x + 0*y == x`` for every entry.
     """
-    n = num_qubits(rho)
-    _check_targets(op.shape, (target,), n)
+    _check_targets(op.shape, (target,), num_qubits(rho))
     _check_probability(p1, "p1")
-    ideal = rho.copy() if op is I2 else _conjugate(rho, op, (target,), n)
-    if p1 == 1.0:
-        return ideal
-    others = tuple(q for q in range(n) if q != target)
-    stripped = partial_trace(rho, others)
-    return p1 * ideal + (1.0 - p1) * _insert_mixed_qubit(stripped, target)
+    return _noisy(rho, op, (target,), p1)
 
 
 def apply_two_qubit_noisy(
     rho: np.ndarray, targets: tuple[int, int], op: np.ndarray, p2: float
 ) -> np.ndarray:
     """Depolarizing two-qubit operation; failure replaces both targets by I/4."""
-    n = num_qubits(rho)
     targets = tuple(targets)
-    _check_targets(op.shape, targets, n)
+    _check_targets(op.shape, targets, num_qubits(rho))
     _check_probability(p2, "p2")
-    ideal = _conjugate(rho, op, targets, n)
-    if p2 == 1.0:
-        return ideal
-    others = tuple(q for q in range(n) if q not in targets)
-    stripped = partial_trace(rho, others)
-    lo, hi = sorted(targets)
-    regrown = _insert_mixed_qubit(_insert_mixed_qubit(stripped, lo), hi)
-    return p2 * ideal + (1.0 - p2) * regrown
+    return _noisy(rho, op, targets, p2)
 
 
 @dataclass(frozen=True)
@@ -306,6 +379,48 @@ class MeasurementBranch:
     outcome: int
     probability: float
     state: np.ndarray
+
+
+def _around(target: int, n: int) -> tuple[int, int, int]:
+    """A matrix index of ``n`` qubits split around ``target``'s axis: the
+    projection onto |v> keeps the block where the middle axis reads v."""
+    return (2**target, 2, 2 ** (n - target - 1))
+
+
+def _readout(rho: np.ndarray, target: int, eta: float) -> np.ndarray:
+    """Computational-basis readout of ``target`` with misreporting
+    probability ``1 - eta``, for each matrix of ``rho``.
+
+    Returns the unnormalized branch states, the reported value on a new axis
+    just before the matrix axes.  The qubit is kept, collapsed.  Each branch
+    has the trace of its probability (see :func:`_outcome_probabilities`),
+    and one of probability zero is a zero matrix.
+    """
+    n = _qubits(rho)
+    batch = rho.shape[:-2]
+    split = _around(target, n)
+    # Weight of each (row, column) value pair of the target, per reported
+    # value: eta on the reported block, 1 - eta on the other, 0 on the
+    # coherences between.
+    blocks = np.array(
+        [[[eta, 0.0], [0.0, 1.0 - eta]], [[1.0 - eta, 0.0], [0.0, eta]]]
+    ).reshape(2, 1, 2, 1, 1, 2, 1)
+    states = rho.reshape(batch + (1,) + split + split) * blocks
+    return states.reshape(batch + (2,) + rho.shape[-2:])
+
+
+def _outcome_probabilities(rho: np.ndarray, target: int, eta: float) -> np.ndarray:
+    """Probability of each reported value of :func:`_readout`, shape
+    ``batch + (2,)``, from the diagonal of each matrix of ``rho``."""
+    n = _qubits(rho)
+    batch = rho.shape[:-2]
+    # Row v of ``masked`` is the diagonal with the other value's entries
+    # zeroed rather than sliced away, so each weight sums the whole diagonal
+    # in the order np.trace uses.
+    diagonal = rho.diagonal(axis1=-2, axis2=-1).real
+    masked = diagonal.reshape(batch + (1,) + _around(target, n)) * _VALUE_MASK
+    weights = masked.reshape(batch + (2, 1 << n)).sum(axis=-1)
+    return eta * weights + (1.0 - eta) * weights[..., ::-1]
 
 
 def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementBranch]:
@@ -317,37 +432,15 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     measured qubit is kept, collapsed).  Zero-probability branches are
     omitted.
     """
-    if not 0.5 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0.5, 1], got {eta!r}")
-    n = num_qubits(rho)
-    _check_targets(None, (target,), n)
-    # Row and column index each split around the target qubit's axis; the
-    # projection onto |v> keeps the block where both of those axes read v.
-    split = (2**target, 2, 2 ** (n - target - 1))
-    tensor = rho.reshape(split + split)
-    # Row v of ``masked`` is the diagonal with the other value's entries
-    # zeroed rather than sliced away, so each weight sums the whole diagonal
-    # in the order np.trace uses.
-    diagonal = rho.diagonal().real.reshape(split)
-    masked = np.zeros((2,) + split)
-    masked[0, :, 0, :] = diagonal[:, 0, :]
-    masked[1, :, 1, :] = diagonal[:, 1, :]
-    weights = masked.reshape(2, -1).sum(axis=1).tolist()
-    # Weight of each (row, column) value pair of the target, per reported
-    # value: eta on the reported block, 1 - eta on the other, 0 on the
-    # coherences between.
-    blocks = np.array(
-        [[[eta, 0.0], [0.0, 1.0 - eta]], [[1.0 - eta, 0.0], [0.0, eta]]]
-    ).reshape(2, 1, 2, 1, 1, 2, 1)
-    branches = []
-    for reported in (0, 1):
-        prob = eta * weights[reported] + (1.0 - eta) * weights[1 - reported]
-        if prob <= 0.0:
-            continue
-        state = (tensor * blocks[reported]).reshape(rho.shape)
-        state /= prob
-        branches.append(MeasurementBranch(reported, prob, state))
-    return branches
+    _check_eta(eta)
+    _check_targets(None, (target,), num_qubits(rho))
+    probabilities = _outcome_probabilities(rho, target, eta)
+    states = _readout(rho, target, eta)
+    return [
+        MeasurementBranch(reported, prob, states[reported] / prob)
+        for reported, prob in enumerate(probabilities.tolist())
+        if prob > 0.0
+    ]
 
 
 @dataclass(frozen=True)
@@ -366,6 +459,54 @@ class EppResult:
     success_probability: float
 
 
+def _check_gates(g: GateNoiseParams) -> None:
+    _check_probability(g.p1, "p1")
+    _check_probability(g.p2, "p2")
+    _check_eta(g.eta)
+
+
+def _swap_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`es_oracle`'s circuit on a batch of four-qubit states.
+
+    Returns the outcome-averaged fidelity of pair (0, 3), shape ``batch``,
+    and the probabilities of the reported bits ``(m1, m2)``, shape
+    ``batch + (2, 2)``.
+    """
+    _check_gates(g)
+    rho = _noisy(rho, CNOT, (1, 2), g.p2)
+    rho = _conjugate(rho, H, (1,))
+    rho = _readout(rho, 1, g.eta)
+    joint = _outcome_probabilities(rho, 2, g.eta)
+    rho = _readout(rho, 2, g.eta)
+    # Qubits 1 and 2 are done with: the corrections act on qubit 3, which is
+    # qubit 1 of the remaining pair (0, 3).
+    pair = _partial_trace(rho, (0, 3))
+    pair = _noisy(pair, _Z_CORRECTIONS, (1,), g.p1)
+    pair = _noisy(pair, _X_CORRECTIONS, (1,), g.p1)
+    return _bell_overlap(pair).sum(axis=(-2, -1)), joint
+
+
+def _purify_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`epp_oracle`'s circuit on a batch of four-qubit states.
+
+    Returns the kept pair's fidelity given a pass and the pass probability,
+    each of shape ``batch``.
+    """
+    _check_gates(g)
+    rho = _noisy(rho, CNOT, (0, 2), g.p2)
+    rho = _noisy(rho, CNOT, (1, 3), g.p2)
+    rho = _readout(rho, 2, g.eta)
+    joint = _outcome_probabilities(rho, 3, g.eta)
+    rho = _readout(rho, 3, g.eta)
+    # The pair survives the branches (0, 0) and (1, 1).
+    agree = rho[..., (0, 1), (0, 1), :, :]
+    success = joint[..., 0, 0] + joint[..., 1, 1]
+    if (success <= 0.0).any():
+        raise ValueError("coincidence probability vanished; inputs are unphysical")
+    kept = _bell_overlap(_partial_trace(agree, (0, 1))).sum(axis=-1)
+    return kept / success, success
+
+
 def es_oracle(f_a: float, f_b: float, g: GateNoiseParams) -> EsResult:
     """Entanglement swapping on two Werner pairs, built from explicit gates.
 
@@ -382,23 +523,18 @@ def es_oracle(f_a: float, f_b: float, g: GateNoiseParams) -> EsResult:
     :func:`repeaterlab.werner.swap_chain_fidelity` exactly.
 
     Returns the probability-weighted fidelity of the surviving pair (0, 3)
-    together with the four branch probabilities.
+    together with the probabilities of the reported pairs that can occur.
     """
-    rho = np.kron(werner_state(f_a), werner_state(f_b))
-    rho = apply_two_qubit_noisy(rho, (1, 2), CNOT, g.p2)
-    rho = apply_one_qubit_noisy(rho, 1, H, 1.0)
-
-    fidelity = 0.0
-    probabilities = {}
-    for b1 in measure_noisy(rho, 1, g.eta):
-        for b2 in measure_noisy(b1.state, 2, g.eta):
-            joint = b1.probability * b2.probability
-            state = apply_one_qubit_noisy(b2.state, 3, Z if b1.outcome else I2, g.p1)
-            state = apply_one_qubit_noisy(state, 3, X if b2.outcome else I2, g.p1)
-            pair = partial_trace(state, (0, 3))
-            fidelity += joint * fidelity_to_bell(pair, BellKind.PHI_PLUS)
-            probabilities[(b1.outcome, b2.outcome)] = joint
-    return EsResult(fidelity, probabilities)
+    fidelity, joint = _swap_circuit(
+        _pair_product(werner_state(f_a), werner_state(f_b)), g
+    )
+    probabilities = {
+        (m1, m2): prob
+        for m1, row in enumerate(joint.tolist())
+        for m2, prob in enumerate(row)
+        if prob > 0.0
+    }
+    return EsResult(float(fidelity), probabilities)
 
 
 def epp_oracle(f: float, g: GateNoiseParams) -> EppResult:
@@ -414,23 +550,9 @@ def epp_oracle(f: float, g: GateNoiseParams) -> EppResult:
     Returns the fidelity of the kept pair conditioned on passing, and the
     pass probability itself.
     """
-    rho = np.kron(werner_state(f), werner_state(f))
-    rho = apply_two_qubit_noisy(rho, (0, 2), CNOT, g.p2)
-    rho = apply_two_qubit_noisy(rho, (1, 3), CNOT, g.p2)
-
-    success = 0.0
-    kept = 0.0
-    for b2 in measure_noisy(rho, 2, g.eta):
-        for b3 in measure_noisy(b2.state, 3, g.eta):
-            if b2.outcome != b3.outcome:
-                continue
-            joint = b2.probability * b3.probability
-            pair = partial_trace(b3.state, (0, 1))
-            success += joint
-            kept += joint * fidelity_to_bell(pair, BellKind.PHI_PLUS)
-    if success <= 0.0:
-        raise ValueError("coincidence probability vanished; inputs are unphysical")
-    return EppResult(kept / success, success)
+    pair = werner_state(f)
+    f_out, success = _purify_circuit(_pair_product(pair, pair), g)
+    return EppResult(float(f_out), float(success))
 
 
 def map_deviations(fidelities, noise_params, *, swap_map=None) -> dict:
@@ -440,25 +562,27 @@ def map_deviations(fidelities, noise_params, *, swap_map=None) -> dict:
     against the package's own maps.  Returns the maxima keyed by ``swap``,
     ``purify`` and ``purify_success``.  ``swap_map`` replaces the swap map,
     so a deliberately wrong formula can be fed in to confirm the comparison
-    actually discriminates.
+    actually discriminates.  Each gate set runs each circuit once, on all
+    the fidelities stacked.  A deviation above :data:`ORACLE_TOLERANCE` is
+    more than rounding.
     """
     from .werner import purify_noisy, purify_success_probability, swap_chain_fidelity
 
     if swap_map is None:
         swap_map = swap_chain_fidelity
+    fidelities = list(fidelities)
+    pairs = _werner_states([validate_fidelity(f) for f in fidelities])
+    start = _pair_product(pairs, pairs)
     worst = {"swap": 0.0, "purify": 0.0, "purify_success": 0.0}
     for g in noise_params:
-        for f in fidelities:
-            swapped = es_oracle(f, f, g)
-            worst["swap"] = max(
-                worst["swap"], abs(swapped.fidelity - swap_map(f, 2, g))
-            )
-            purified = epp_oracle(f, g)
-            worst["purify"] = max(
-                worst["purify"], abs(purified.f_out - purify_noisy(f, g))
-            )
+        swapped, _ = _swap_circuit(start, g)
+        purified, passed = _purify_circuit(start, g)
+        for f, s, f_out, p_pass in zip(
+            fidelities, swapped.tolist(), purified.tolist(), passed.tolist()
+        ):
+            worst["swap"] = max(worst["swap"], abs(s - swap_map(f, 2, g)))
+            worst["purify"] = max(worst["purify"], abs(f_out - purify_noisy(f, g)))
             worst["purify_success"] = max(
-                worst["purify_success"],
-                abs(purified.success_probability - purify_success_probability(f, g)),
+                worst["purify_success"], abs(p_pass - purify_success_probability(f, g))
             )
     return worst

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .werner import DEGENERACY_THRESHOLD, MIXED_FIDELITY, validate_fidelity
+from .werner import DEGENERACY_THRESHOLD, MIXED_FIDELITY, _refuse_bool, validate_fidelity
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,8 @@ class LinkModel:
     c_signal_km_s: float = 2.0e5
 
     def __post_init__(self) -> None:
+        for name in ("d_km", "f0", "alpha_db_per_km", "c_signal_km_s"):
+            _refuse_bool(name, getattr(self, name))
         if not (math.isfinite(self.d_km) and self.d_km > 0.0):
             raise ValueError(f"d_km must be positive, got {self.d_km!r}")
         if not (math.isfinite(self.alpha_db_per_km) and self.alpha_db_per_km >= 0.0):
@@ -46,6 +48,7 @@ class MemoryModel:
     tau_s: float | None = None
 
     def __post_init__(self) -> None:
+        _refuse_bool("tau_s", self.tau_s)
         if self.mode not in ("none", "exponential"):
             raise ValueError(f"mode must be 'none' or 'exponential', got {self.mode!r}")
         if self.mode == "none" and self.tau_s is not None:

@@ -10,6 +10,7 @@ purification and memory decay (:mod:`repeaterlab.noise`) all have the form
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 FIDELITY_TOL = 1e-12
@@ -39,6 +40,16 @@ def validate_fidelity(f: float, name: str = "f") -> float:
     return min(1.0, max(0.0, f))
 
 
+def _refuse_bool(name: str, value) -> None:
+    """Raise ``TypeError`` if the numeric field ``name`` holds a ``bool``.
+
+    ``True`` and ``False`` pass every numeric comparison as 1 and 0, so a
+    flag passed by mistake would read as a valid number.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GateNoiseParams:
     """Local gate and measurement quality (p1, p2, eta).
@@ -57,6 +68,7 @@ class GateNoiseParams:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "eta"):
             v = getattr(self, name)
+            _refuse_bool(name, v)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
             if not 0.0 < v <= 1.0:
@@ -123,14 +135,26 @@ def swap_chain_fidelity(f: float, l: int, g: GateNoiseParams) -> float:
 
         F_out = 1/4 + (3/4) * [p1^2 p2 (4 eta^2 - 1)/3]^(l-1) * [(4f-1)/3]^l
 
-    ``l = 1`` is the identity.
+    ``l = 1`` is the identity.  An ``l`` too large to convert to a float
+    raises ``OverflowError`` naming its digit count.
     """
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be an integer >= 1, got {l!r}")
     f = validate_fidelity(f)
     k = g.p1 * g.p1 * g.p2 * (4.0 * g.eta * g.eta - 1.0) / 3.0
     w = werner_weight(f)
-    return 0.25 + 0.75 * (k ** (l - 1)) * (w**l)
+    try:
+        return 0.25 + 0.75 * (k ** (l - 1)) * (w**l)
+    except OverflowError:
+        raise OverflowError(f"l has {_digit_count(l)} digits, past the float range") from None
+
+
+def _digit_count(n: int) -> str:
+    """Decimal digits of ``n``, or a bound for an int too long for ``str``."""
+    try:
+        return str(len(str(n)))
+    except ValueError:
+        return f"more than {sys.get_int_max_str_digits()}"
 
 
 @dataclass(frozen=True)

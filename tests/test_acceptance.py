@@ -35,7 +35,7 @@ from repeaterlab import (
     sweep_rates,
     threshold_distance,
 )
-from repeaterlab.dmsim import CNOT, H, X, Z
+from repeaterlab.dmsim import CNOT, ORACLE_TOLERANCE, H, X, Z
 
 
 def _stopwatch(budget_s):
@@ -66,7 +66,7 @@ def test_criterion_1_circuit_oracles_match_closed_forms():
     ]
     grid = [GateNoiseParams(p1=p1, p2=p2, eta=eta) for p1, p2, eta in triples]
     worst = map_deviations(fidelities, grid)
-    assert max(worst.values()) < 1e-9, worst
+    assert max(worst.values()) < ORACLE_TOLERANCE, worst
     elapsed = done()
     print(f"criterion 1: PASS (max deviations {worst}, {elapsed:.2f}s)")
 

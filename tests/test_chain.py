@@ -59,6 +59,34 @@ def baseline_config(n=4, k=1):
     return ChainConfig(l=2, n=n, link=LINK, m=2, epp_rounds_per_level=k)
 
 
+#: Every float field of the config objects: its name and a constructor
+#: that takes a value for it.
+FLOAT_FIELDS = [
+    pytest.param("p1", lambda v: GateNoiseParams(p1=v), id="GateNoiseParams.p1"),
+    pytest.param("p2", lambda v: GateNoiseParams(p2=v), id="GateNoiseParams.p2"),
+    pytest.param("eta", lambda v: GateNoiseParams(eta=v), id="GateNoiseParams.eta"),
+    pytest.param("d_km", lambda v: LinkModel(d_km=v), id="LinkModel.d_km"),
+    pytest.param("f0", lambda v: LinkModel(f0=v), id="LinkModel.f0"),
+    pytest.param("alpha_db_per_km", lambda v: LinkModel(alpha_db_per_km=v),
+                 id="LinkModel.alpha_db_per_km"),
+    pytest.param("c_signal_km_s", lambda v: LinkModel(c_signal_km_s=v),
+                 id="LinkModel.c_signal_km_s"),
+    pytest.param("c_es", lambda v: ChainConfig(l=2, n=2, link=LINK, c_es=v),
+                 id="ChainConfig.c_es"),
+    pytest.param("c_epp", lambda v: ChainConfig(l=2, n=2, link=LINK, c_epp=v),
+                 id="ChainConfig.c_epp"),
+    pytest.param("tau_s", MemoryModel.exponential, id="MemoryModel.exponential"),
+]
+
+
+@pytest.mark.parametrize("name, make", FLOAT_FIELDS)
+def test_float_fields_refuse_a_bool_as_int_fields_do(name, make):
+    make(1.0)  # the same value as a number is accepted
+    for flag in (True, False):
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got {flag}$"):
+            make(flag)
+
+
 def test_chain_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(l=1, n=2, link=LINK)

@@ -26,7 +26,8 @@ from repeaterlab import (
     swap_chain_fidelity,
     werner_state,
 )
-from repeaterlab.dmsim import CNOT, H, I2, X, Z
+from repeaterlab import dmsim, werner
+from repeaterlab.dmsim import CNOT, H, I2, ORACLE_TOLERANCE, X, Z
 
 
 def random_mixed_state(rng, n_qubits):
@@ -357,8 +358,8 @@ def test_unhashable_or_odd_targets_raise_value_error(target):
 
 @pytest.mark.parametrize("p", [1.0, 0.9])
 def test_identity_correction_equals_its_contraction(p):
-    # apply_one_qubit_noisy copies the state for ``op is I2``; an identity
-    # that is not that object still goes through the contraction.
+    # The read-only constant I2 and a fresh identity take the same
+    # contraction, and the result is a new array either way.
     rng = random.Random(11)
     explicit = np.eye(2, dtype=complex)
     for n in range(1, 6):
@@ -460,37 +461,92 @@ def test_oracle_outputs_match_frozen_values(row):
 
 
 def test_intermediate_oracle_states_are_density_matrices():
-    """Walk both circuits through the calls the oracles make, checking each state."""
+    """Walk both batched circuits step by step, as ``_swap_circuit`` and
+    ``_purify_circuit`` run them, checking every normalized branch state."""
     g = GateNoiseParams(p1=0.95, p2=0.93, eta=0.97)
-    f = 0.8
+    pairs = dmsim._werner_states([0.3, 0.8, 1.0])
+    checked = []
 
-    def checked(rho):
-        check_density_matrix(rho)
-        return rho
+    def check(states):
+        """Normalize each matrix of the stack by its trace and check it."""
+        for state in states.reshape((-1,) + states.shape[-2:]):
+            check_density_matrix(state / np.trace(state))
+            checked.append(state)
+        return states
 
-    # Entanglement swapping, as in es_oracle.
-    rho = checked(np.kron(werner_state(f), werner_state(f)))
-    rho = checked(apply_two_qubit_noisy(rho, (1, 2), CNOT, g.p2))
-    rho = checked(apply_one_qubit_noisy(rho, 1, H, 1.0))
-    pairs = []
-    for b1 in measure_noisy(rho, 1, g.eta):
-        checked(b1.state)
-        for b2 in measure_noisy(b1.state, 2, g.eta):
-            state = checked(b2.state)
-            state = checked(apply_one_qubit_noisy(state, 3, Z if b1.outcome else I2, g.p1))
-            state = checked(apply_one_qubit_noisy(state, 3, X if b2.outcome else I2, g.p1))
-            pairs.append(checked(partial_trace(state, (0, 3))))
-    assert len(pairs) == 4
+    # Entanglement swapping, as in _swap_circuit.
+    rho = check(dmsim._pair_product(pairs, pairs))
+    rho = check(dmsim._noisy(rho, CNOT, (1, 2), g.p2))
+    rho = check(dmsim._conjugate(rho, H, (1,)))
+    rho = check(dmsim._readout(rho, 1, g.eta))
+    joint = dmsim._outcome_probabilities(rho, 2, g.eta)
+    rho = dmsim._readout(rho, 2, g.eta)
+    pair = check(dmsim._partial_trace(check(rho), (0, 3)))
+    pair = check(dmsim._noisy(pair, dmsim._Z_CORRECTIONS, (1,), g.p1))
+    pair = check(dmsim._noisy(pair, dmsim._X_CORRECTIONS, (1,), g.p1))
+    assert pair.shape == (3, 2, 2, 4, 4)
+    assert np.allclose(np.trace(pair, axis1=-2, axis2=-1), joint, rtol=0, atol=1e-15)
 
-    # Purification, as in epp_oracle.
-    rho = checked(np.kron(werner_state(f), werner_state(f)))
-    rho = checked(apply_two_qubit_noisy(rho, (0, 2), CNOT, g.p2))
-    rho = checked(apply_two_qubit_noisy(rho, (1, 3), CNOT, g.p2))
-    kept = []
-    for b2 in measure_noisy(rho, 2, g.eta):
-        checked(b2.state)
-        for b3 in measure_noisy(b2.state, 3, g.eta):
-            checked(b3.state)
-            if b2.outcome == b3.outcome:
-                kept.append(checked(partial_trace(b3.state, (0, 1))))
-    assert len(kept) == 2
+    # Purification, as in _purify_circuit.
+    rho = check(dmsim._pair_product(pairs, pairs))
+    rho = check(dmsim._noisy(rho, CNOT, (0, 2), g.p2))
+    rho = check(dmsim._noisy(rho, CNOT, (1, 3), g.p2))
+    rho = check(dmsim._readout(rho, 2, g.eta))
+    rho = dmsim._readout(rho, 3, g.eta)
+    kept = check(dmsim._partial_trace(check(rho)[..., (0, 1), (0, 1), :, :], (0, 1)))
+    assert kept.shape == (3, 2, 4, 4)
+    # The unbatched walk through the public primitives checked 32 states.
+    assert len(checked) >= 32
+
+
+def test_a_zero_probability_branch_is_masked_not_skipped(monkeypatch):
+    # A basis state read out with eta = 1: qubit 1 of |00> never reads 1.
+    basis = np.zeros((4, 4), dtype=complex)
+    basis[0, 0] = 1.0
+    assert dmsim._outcome_probabilities(basis, 1, 1.0).tolist() == [1.0, 0.0]
+    states = dmsim._readout(basis, 1, 1.0)
+    assert states.shape == (2, 4, 4) and not states[1].any()
+    assert [b.outcome for b in measure_noisy(basis, 1, 1.0)] == [0]
+    # In the swap circuit on |0000>, qubit 2 always reads 0: the branches
+    # with m2 = 1 carry zero matrices through the corrections, add nothing
+    # to the fidelity, and are left out of the outcome probabilities.
+    ket00 = np.zeros((4, 4), dtype=complex)
+    ket00[0, 0] = 1.0
+    monkeypatch.setattr(dmsim, "werner_state", lambda f: ket00)
+    result = es_oracle(1.0, 1.0, GateNoiseParams())
+    assert sorted(result.outcome_probabilities) == [(0, 0), (1, 0)]
+    for prob in result.outcome_probabilities.values():
+        assert prob == pytest.approx(0.5, abs=1e-15)
+    assert result.fidelity == pytest.approx(0.5, abs=1e-15)
+
+
+def test_map_deviations_over_a_grid_is_the_max_of_its_cells():
+    fidelities = [0.3, 0.55, 0.8, 1.0]
+    noise = SMALL_NOISE_GRID
+
+    def skewed(f, l, g):
+        return swap_chain_fidelity(f, l, g) * (1.0 + 1e-3 * f)
+
+    for swap_map in (None, skewed):
+        grid = map_deviations(fidelities, noise, swap_map=swap_map)
+        cells = [map_deviations([f], [g], swap_map=swap_map) for g in noise for f in fidelities]
+        assert grid == {key: max(cell[key] for cell in cells) for key in grid}
+    assert map_deviations([], noise) == {"swap": 0.0, "purify": 0.0, "purify_success": 0.0}
+
+
+@pytest.mark.parametrize("name", ["swap", "purify", "purify_success"])
+def test_a_relative_error_of_1e_12_in_any_map_is_caught(name, monkeypatch):
+    fidelities = [0.3, 0.6, 0.9, 1.0]
+    noise = SMALL_NOISE_GRID
+    swap_map = None
+    if name == "swap":
+        def swap_map(f, l, g):
+            return swap_chain_fidelity(f, l, g) * (1.0 + 1e-12)
+    else:
+        module_name = {"purify": "purify_noisy",
+                       "purify_success": "purify_success_probability"}[name]
+        genuine = getattr(werner, module_name)
+        monkeypatch.setattr(werner, module_name, lambda f, g: genuine(f, g) * (1.0 + 1e-12))
+    worst = map_deviations(fidelities, noise, swap_map=swap_map)
+    assert worst[name] > ORACLE_TOLERANCE
+    assert all(v <= ORACLE_TOLERANCE for key, v in worst.items() if key != name)

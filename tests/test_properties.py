@@ -35,6 +35,7 @@ from repeaterlab import (
     trace_to_csv,
 )
 from repeaterlab.cli import _SECTION_KEYS, main
+from repeaterlab import dmsim
 from repeaterlab.dmsim import CNOT, H, X, Z, _insert_mixed_qubit, num_qubits
 from test_werner import ABOVE_FLOOR_GATES, BASELINE
 
@@ -298,6 +299,75 @@ def test_mixed_qubit_insertion_matches_kron_reference(n_old, data):
     expected = expected.reshape(2**n, 2**n)
     assert np.max(np.abs(_insert_mixed_qubit(rho, position) - expected)) <= CONTRACTION_TOL
 
+
+
+#: A kernel on a stack of states must equal the same kernel slice by slice
+#: to this absolute tolerance, entry by entry.
+BATCH_TOL = 1e-15
+
+
+@st.composite
+def stacked_kernel_calls(draw):
+    """A stack of states on 1..4 qubits with batch shape of one or two axes,
+    and arguments for every kernel: targets, operators, p, kept qubits, a
+    position for a new qubit, eta."""
+    n = draw(st.integers(1, 4))
+    batch = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(seeds))
+    count = int(np.prod(batch))
+    states = np.stack([random_state(rng, n) for _ in range(count)])
+    k = draw(st.integers(1, min(2, n)))
+    targets = tuple(draw(st.permutations(range(n)))[:k])
+    # Operators of spectral norm 1 keep every entry of U rho U^H within 1.
+    ops = [random_operator(rng, k) for _ in range(count)]
+    ops = np.stack([op / np.linalg.norm(op, 2) for op in ops])
+    keep = tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
+    return {
+        "states": states.reshape(batch + states.shape[1:]),
+        "ops": ops.reshape(batch + ops.shape[1:]),
+        "targets": targets,
+        "p": draw(st.floats(0.0, 1.0)),
+        "keep": keep,
+        "position": draw(st.integers(0, n)),
+        "target": targets[0],
+        "eta": draw(st.floats(0.5, 1.0, exclude_min=True)),
+    }
+
+
+def parts(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def slice_by_slice(kernel, states, *stacks):
+    """``kernel`` called on each matrix of ``states`` and the matching matrix
+    of each stack in ``stacks``; each part of its results stacked again."""
+    batch = states.shape[:-2]
+    flat = [x.reshape((-1,) + x.shape[-2:]) for x in (states, *stacks)]
+    results = [parts(kernel(*args)) for args in zip(*flat)]
+    return [np.stack(part).reshape(batch + part[0].shape) for part in zip(*results)]
+
+
+@given(stacked_kernel_calls())
+def test_kernels_on_a_stack_equal_the_kernels_slice_by_slice(case):
+    states, ops, targets, p = case["states"], case["ops"], case["targets"], case["p"]
+    one_op = ops.reshape((-1,) + ops.shape[-2:])[0]
+    kernels = {
+        "conjugate": (lambda r: dmsim._conjugate(r, one_op, targets),),
+        "conjugate by a stack": (lambda r, op: dmsim._conjugate(r, op, targets), ops),
+        "noisy": (lambda r: dmsim._noisy(r, one_op, targets, p),),
+        "noisy by a stack": (lambda r, op: dmsim._noisy(r, op, targets, p), ops),
+        "partial trace": (lambda r: dmsim._partial_trace(r, case["keep"]),),
+        "mixed qubit": (lambda r: dmsim._insert_mixed_qubit(r, case["position"]),),
+        "readout": (lambda r: dmsim._readout(r, case["target"], case["eta"]),),
+        "outcome probabilities":
+            (lambda r: dmsim._outcome_probabilities(r, case["target"], case["eta"]),),
+    }
+    for name, (kernel, *stacks) in kernels.items():
+        got = parts(kernel(states, *stacks))
+        want = slice_by_slice(kernel, states, *stacks)
+        assert [x.shape for x in got] == [x.shape for x in want], name
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= BATCH_TOL, name
 
 
 #: Values a key is tried with besides its in-range ones: the edges of the

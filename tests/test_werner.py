@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from mpmath import mp, mpf
@@ -322,3 +323,14 @@ def test_no_valid_range_for_strong_noise():
     for triple in ((1.0, 0.9, 0.9), (1.0, 0.94, 1.0)):
         with pytest.raises(NoValidRangeError):
             purification_fixed_points(GateNoiseParams(*triple))
+
+
+def test_swap_refuses_an_l_past_the_float_range_by_its_digit_count():
+    g = GateNoiseParams(p1=0.99, p2=0.98, eta=0.99)
+    assert 0.25 <= swap_chain_fidelity(0.9, 10**300, g) <= 1.0
+    with pytest.raises(OverflowError, match="^l has 401 digits, past the float range$"):
+        swap_chain_fidelity(0.9, 10**400, g)
+    # Too long for str as well: the count is given as a bound.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(OverflowError, match=f"^l has more than {limit} digits"):
+        swap_chain_fidelity(0.9, 10 ** (limit + 1), g)
