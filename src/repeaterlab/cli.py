@@ -258,7 +258,7 @@ def cmd_oracle_check(run: RunConfig, args) -> int:
     worst = map_deviations(fidelities, noise)
     for name in ("swap", "purify", "purify_success"):
         print(f"{name}_max_deviation={_fmt(worst[name])}")
-    if max(worst.values()) > ORACLE_TOLERANCE:
+    if not all(value <= ORACLE_TOLERANCE for value in worst.values()):
         print(f"oracle deviation exceeds tolerance {_fmt(ORACLE_TOLERANCE)}")
         return 1
     return 0

@@ -10,14 +10,14 @@ purification fidelity maps from explicit noisy gates, measurements and
 recovery operations, so the closed forms in :mod:`repeaterlab.werner` can be
 checked against circuit-level truth.
 
-Operators are applied by contracting the ``(*batch, 2, ..., 2)`` state
-tensor on the target axes, from the left and the right, so no ``2^n x 2^n``
-operator is ever built: gates are two ``np.einsum`` calls whose cached
-subscripts start with ``...`` for the batch axes, readout weights the blocks
-of the target's row and column axes, and a fresh mixed qubit is an outer
-product with ``I/2``.  :func:`expand_operator` builds the full embedded
-operator explicitly; the oracles never call it, and it is the reference the
-contraction paths are tested against.
+Gates act as ``U rho U^H`` with ``U`` the full ``2^n x 2^n`` embedded
+operator, by two matrix products that broadcast over the batch axes and
+over a stack of operators.  The circuits' gates sit on fixed qubits, so
+each is embedded by :func:`expand_operator` once, at import; the public
+primitives embed their operator per call.  A failed gate is one partial
+trace onto the untouched qubits and one broadcast product with ``I/2^k``
+on the fresh ones.  Readout weights the blocks of the target's row and
+column axes.
 
 A circuit is one straight-line pass over a batch.  A readout puts the
 reported outcome on a new axis just before the matrix axes and leaves the
@@ -32,8 +32,8 @@ The public primitives check their arguments on every call; the circuits
 check their gate set once per pass, and their qubit positions are literals.
 Position checks are memoized per (operator shape, positions, position types,
 qubit count).  The Bell vectors, their conjugates and their projectors are
-built once, at import, and are read-only, as are ``I2`` and the correction
-stacks.
+built once, at import, and are read-only, as are ``I2`` and the circuits'
+embedded gates.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import enum
 import functools
 import math
 import numbers
-import string
 import sys
 from dataclasses import dataclass
 
@@ -85,17 +84,11 @@ _BELL_VECTORS = {
 }
 _BELL_BRAS = {kind: v.conj() for kind, v in _BELL_VECTORS.items()}
 _BELL_PROJECTORS = {kind: np.outer(v, v.conj()) for kind, v in _BELL_VECTORS.items()}
-#: The state a depolarized qubit is replaced by.
-_HALF_I2 = I2 / 2.0
-#: The swap's recovery on qubit 3, indexed by the reported bits: Z^m1 stacked
-#: on the m1 axis (the one before m2), X^m2 on the m2 axis.
-_Z_CORRECTIONS = np.stack([I2, Z])[:, None]
-_X_CORRECTIONS = np.stack([I2, X])
 #: ``_VALUE_MASK[v, :, u, :]`` is 1 where the measured qubit reads ``u == v``.
 _VALUE_MASK = np.eye(2).reshape(2, 1, 2, 1)
 # The kernels use these without copying, so none of them may change.
 for _constant in (
-    I2, _HALF_I2, _Z_CORRECTIONS, _X_CORRECTIONS, _VALUE_MASK,
+    I2, _VALUE_MASK,
     *_BELL_VECTORS.values(), *_BELL_BRAS.values(), *_BELL_PROJECTORS.values(),
 ):
     _constant.flags.writeable = False
@@ -238,58 +231,34 @@ def expand_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.nd
     return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: the kernels use it without copying."""
+    array.flags.writeable = False
+    return array
+
+
+#: The circuits' gates, embedded on their qubits once.  The swap's recovery
+#: acts on qubit 1 of the remaining pair (0, 3), indexed by the reported
+#: bits: Z^m1 stacked on the m1 axis (the one before m2), X^m2 on the m2 axis.
+_CNOT_12 = _read_only(expand_operator(CNOT, (1, 2), 4))
+_CNOT_02 = _read_only(expand_operator(CNOT, (0, 2), 4))
+_CNOT_13 = _read_only(expand_operator(CNOT, (1, 3), 4))
+_H_1 = _read_only(expand_operator(H, (1,), 4))
+_Z_CORRECTIONS = _read_only(
+    np.stack([expand_operator(P, (1,), 2) for P in (I2, Z)])[:, None]
+)
+_X_CORRECTIONS = _read_only(np.stack([expand_operator(P, (1,), 2) for P in (I2, X)]))
+
+
 def _qubits(rho: np.ndarray) -> int:
     """Qubit count of a stack of ``2^n x 2^n`` matrices, unchecked."""
     return rho.shape[-1].bit_length() - 1
 
 
-def _tensor(rho: np.ndarray, n: int) -> np.ndarray:
-    """``rho`` with each matrix axis split into ``n`` qubit axes of length 2."""
-    return rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
-
-
-def _adjoint(tensor: np.ndarray, n: int) -> np.ndarray:
-    """Contiguous conjugate transposes of an ``n``-qubit state tensor's matrices."""
-    dim = 1 << n
-    matrices = tensor.reshape(tensor.shape[: tensor.ndim - 2 * n] + (dim, dim))
-    return np.ascontiguousarray(matrices.conj().swapaxes(-1, -2))
-
-
-@functools.lru_cache(maxsize=None)
-def _left_subscripts(n: int, targets: tuple[int, ...]) -> str:
-    """Einsum subscripts of ``op @ rho`` for a k-qubit ``op`` on ``targets``.
-
-    The state tensor has batch axes ``...``, row axes ``rows`` and column
-    axes ``cols``; ``op``, with each matrix axis split into k axes, has its
-    output axes first and may carry batch axes of its own, broadcast against
-    the state's.  The contraction sums the target row axes against ``op``'s
-    input axes and puts its output axes in their place.
-    """
-    k = len(targets)
-    rows, cols = string.ascii_letters[:n], string.ascii_letters[n : 2 * n]
-    fresh = string.ascii_letters[2 * n : 2 * n + k]
-    out = list(rows)
-    for q, letter in zip(targets, fresh):
-        out[q] = letter
-    summed = "".join(rows[q] for q in targets)
-    return f"...{fresh}{summed},...{rows}{cols}->...{''.join(out)}{cols}"
-
-
-def _conjugate(rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """``U rho U^H`` for ``op`` acting on ``targets``, by tensor contraction.
-
-    ``op`` is one ``2^k x 2^k`` matrix or a stack of them whose batch axes
-    broadcast against those of ``rho``.  The right factor is applied as
-    ``U rho U^H = (U (U rho)^H)^H``, so both contractions sum over row axes.
-    With the column axes innermost in memory, einsum runs a row-side
-    contraction about three times as fast as the same contraction on the
-    column side (four qubits).
-    """
-    n = _qubits(rho)
-    subscripts = _left_subscripts(n, targets)
-    gate = op.reshape(op.shape[:-2] + (2,) * (2 * len(targets)))
-    half = _adjoint(np.einsum(subscripts, gate, _tensor(rho, n)), n)
-    return _adjoint(np.einsum(subscripts, gate, _tensor(half, n)), n)
+def _conjugate(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """``U rho U^H`` for the embedded operator ``op`` on each matrix of ``rho``;
+    ``op`` may be a stack whose batch axes broadcast against ``rho``'s."""
+    return op @ rho @ op.conj().swapaxes(-1, -2)
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -305,9 +274,10 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 def _partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     """The reduced states on the sorted qubits ``keep``, for each matrix of ``rho``."""
     n = _qubits(rho)
-    reduced = np.einsum(_trace_subscripts(n, keep), _tensor(rho, n))
+    batch = rho.shape[:-2]
+    reduced = np.einsum(_trace_subscripts(n, keep), rho.reshape(batch + (2,) * (2 * n)))
     dim = 1 << len(keep)
-    return np.ascontiguousarray(reduced.reshape(rho.shape[:-2] + (dim, dim)))
+    return np.ascontiguousarray(reduced.reshape(batch + (dim, dim)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,36 +289,39 @@ def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
     return "..." + "".join(rows) + "".join(cols) + "->..." + out
 
 
-def _insert_mixed_qubit(rho: np.ndarray, position: int) -> np.ndarray:
-    """Tensor a fresh maximally mixed qubit into each matrix of ``rho`` at ``position``."""
-    n = _qubits(rho) + 1
-    batch = rho.shape[:-2]
-    grown = np.multiply.outer(_tensor(rho, n - 1), _HALF_I2)
-    # The new qubit's row and column axes come last; move them to ``position``
-    # and ``n + position`` after the batch axes.  A plain transpose costs less
-    # than np.moveaxis, which normalises its axis arguments on every call.
-    b = len(batch)
-    order = list(range(b + 2 * n - 2))
-    order.insert(b + position, b + 2 * n - 2)
-    order.insert(b + n + position, b + 2 * n - 1)
-    return grown.transpose(order).reshape(batch + (2**n, 2**n))
+@functools.lru_cache(maxsize=None)
+def _depolarizing_plan(n: int, targets: tuple[int, ...]):
+    """What :func:`_depolarized` needs for ``targets`` of ``n`` qubits: the
+    sorted qubits it keeps, the row and column axes of the reduced state
+    with a singleton in each target's slot, and ``I/2^k`` with its axes in
+    the targets' slots and singletons elsewhere."""
+    keep = tuple(q for q in range(n) if q not in targets)
+    split = tuple(1 if q in targets else 2 for q in range(n)) * 2
+    k = n - len(keep)
+    fresh = np.eye(1 << k, dtype=complex) / (1 << k)
+    fresh = fresh.reshape(tuple(2 if q in targets else 1 for q in range(n)) * 2)
+    return keep, split, _read_only(fresh)
+
+
+def _depolarized(rho: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Each matrix of ``rho`` with the qubits ``targets`` replaced by
+    maximally mixed ones in place."""
+    keep, split, fresh = _depolarizing_plan(_qubits(rho), targets)
+    reduced = _partial_trace(rho, keep)
+    return (reduced.reshape(rho.shape[:-2] + split) * fresh).reshape(rho.shape)
 
 
 def _noisy(
     rho: np.ndarray, op: np.ndarray, targets: tuple[int, ...], p: float
 ) -> np.ndarray:
-    """Depolarizing gate: with probability ``p`` the ideal ``op`` acts on
-    ``targets``, otherwise those qubits are replaced by maximally mixed ones
-    in place.  ``op`` may be a stack, as in :func:`_conjugate`.
+    """Depolarizing gate: with probability ``p`` the embedded ``op`` acts,
+    otherwise the qubits ``targets`` are replaced by maximally mixed ones in
+    place.  ``op`` may be a stack, as in :func:`_conjugate`.
     """
-    ideal = _conjugate(rho, op, targets)
+    ideal = _conjugate(rho, op)
     if p == 1.0:
         return ideal
-    n = _qubits(rho)
-    regrown = _partial_trace(rho, tuple(q for q in range(n) if q not in targets))
-    for q in sorted(targets):
-        regrown = _insert_mixed_qubit(regrown, q)
-    return p * ideal + (1.0 - p) * regrown
+    return p * ideal + (1.0 - p) * _depolarized(rho, targets)
 
 
 def apply_one_qubit_noisy(
@@ -359,9 +332,10 @@ def apply_one_qubit_noisy(
     With probability ``p1`` the ideal ``op`` acts on ``target``; otherwise the
     target qubit is discarded and replaced by a maximally mixed one in place.
     """
-    _check_targets(op.shape, (target,), num_qubits(rho))
+    n = num_qubits(rho)
+    _check_targets(op.shape, (target,), n)
     _check_probability(p1, "p1")
-    return _noisy(rho, op, (target,), p1)
+    return _noisy(rho, expand_operator(op, (target,), n), (target,), p1)
 
 
 def apply_two_qubit_noisy(
@@ -369,9 +343,10 @@ def apply_two_qubit_noisy(
 ) -> np.ndarray:
     """Depolarizing two-qubit operation; failure replaces both targets by I/4."""
     targets = tuple(targets)
-    _check_targets(op.shape, targets, num_qubits(rho))
+    n = num_qubits(rho)
+    _check_targets(op.shape, targets, n)
     _check_probability(p2, "p2")
-    return _noisy(rho, op, targets, p2)
+    return _noisy(rho, expand_operator(op, targets, n), targets, p2)
 
 
 @dataclass(frozen=True)
@@ -387,25 +362,29 @@ def _around(target: int, n: int) -> tuple[int, int, int]:
     return (2**target, 2, 2 ** (n - target - 1))
 
 
-def _readout(rho: np.ndarray, target: int, eta: float) -> np.ndarray:
-    """Computational-basis readout of ``target`` with misreporting
-    probability ``1 - eta``, for each matrix of ``rho``.
+def _readout_weights(eta: float) -> np.ndarray:
+    """Weight of each (row, column) value pair of a measured qubit, per
+    reported value: eta on the reported block, 1 - eta on the other, 0 on
+    the coherences between.  Axes: reported value, then a row and a column
+    index split as by :func:`_around`."""
+    return np.array(
+        [[[eta, 0.0], [0.0, 1.0 - eta]], [[1.0 - eta, 0.0], [0.0, eta]]]
+    ).reshape(2, 1, 2, 1, 1, 2, 1)
+
+
+def _readout(rho: np.ndarray, target: int, weights: np.ndarray) -> np.ndarray:
+    """Computational-basis readout of ``target`` with the
+    :func:`_readout_weights` of a misreporting probability ``1 - eta``, for
+    each matrix of ``rho``.
 
     Returns the unnormalized branch states, the reported value on a new axis
     just before the matrix axes.  The qubit is kept, collapsed.  Each branch
     has the trace of its probability (see :func:`_outcome_probabilities`),
     and one of probability zero is a zero matrix.
     """
-    n = _qubits(rho)
     batch = rho.shape[:-2]
-    split = _around(target, n)
-    # Weight of each (row, column) value pair of the target, per reported
-    # value: eta on the reported block, 1 - eta on the other, 0 on the
-    # coherences between.
-    blocks = np.array(
-        [[[eta, 0.0], [0.0, 1.0 - eta]], [[1.0 - eta, 0.0], [0.0, eta]]]
-    ).reshape(2, 1, 2, 1, 1, 2, 1)
-    states = rho.reshape(batch + (1,) + split + split) * blocks
+    split = _around(target, _qubits(rho))
+    states = rho.reshape(batch + (1,) + split + split) * weights
     return states.reshape(batch + (2,) + rho.shape[-2:])
 
 
@@ -435,7 +414,7 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     _check_eta(eta)
     _check_targets(None, (target,), num_qubits(rho))
     probabilities = _outcome_probabilities(rho, target, eta)
-    states = _readout(rho, target, eta)
+    states = _readout(rho, target, _readout_weights(eta))
     return [
         MeasurementBranch(reported, prob, states[reported] / prob)
         for reported, prob in enumerate(probabilities.tolist())
@@ -473,11 +452,12 @@ def _swap_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np.n
     ``batch + (2, 2)``.
     """
     _check_gates(g)
-    rho = _noisy(rho, CNOT, (1, 2), g.p2)
-    rho = _conjugate(rho, H, (1,))
-    rho = _readout(rho, 1, g.eta)
+    weights = _readout_weights(g.eta)
+    rho = _noisy(rho, _CNOT_12, (1, 2), g.p2)
+    rho = _conjugate(rho, _H_1)
+    rho = _readout(rho, 1, weights)
     joint = _outcome_probabilities(rho, 2, g.eta)
-    rho = _readout(rho, 2, g.eta)
+    rho = _readout(rho, 2, weights)
     # Qubits 1 and 2 are done with: the corrections act on qubit 3, which is
     # qubit 1 of the remaining pair (0, 3).
     pair = _partial_trace(rho, (0, 3))
@@ -493,11 +473,12 @@ def _purify_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np
     each of shape ``batch``.
     """
     _check_gates(g)
-    rho = _noisy(rho, CNOT, (0, 2), g.p2)
-    rho = _noisy(rho, CNOT, (1, 3), g.p2)
-    rho = _readout(rho, 2, g.eta)
+    weights = _readout_weights(g.eta)
+    rho = _noisy(rho, _CNOT_02, (0, 2), g.p2)
+    rho = _noisy(rho, _CNOT_13, (1, 3), g.p2)
+    rho = _readout(rho, 2, weights)
     joint = _outcome_probabilities(rho, 3, g.eta)
-    rho = _readout(rho, 3, g.eta)
+    rho = _readout(rho, 3, weights)
     # The pair survives the branches (0, 0) and (1, 1).
     agree = rho[..., (0, 1), (0, 1), :, :]
     success = joint[..., 0, 0] + joint[..., 1, 1]
@@ -564,7 +545,7 @@ def map_deviations(fidelities, noise_params, *, swap_map=None) -> dict:
     so a deliberately wrong formula can be fed in to confirm the comparison
     actually discriminates.  Each gate set runs each circuit once, on all
     the fidelities stacked.  A deviation above :data:`ORACLE_TOLERANCE` is
-    more than rounding.
+    more than rounding; a NaN deviation makes its maximum NaN.
     """
     from .werner import purify_noisy, purify_success_probability, swap_chain_fidelity
 
@@ -580,9 +561,15 @@ def map_deviations(fidelities, noise_params, *, swap_map=None) -> dict:
         for f, s, f_out, p_pass in zip(
             fidelities, swapped.tolist(), purified.tolist(), passed.tolist()
         ):
-            worst["swap"] = max(worst["swap"], abs(s - swap_map(f, 2, g)))
-            worst["purify"] = max(worst["purify"], abs(f_out - purify_noisy(f, g)))
-            worst["purify_success"] = max(
+            worst["swap"] = _worse(worst["swap"], abs(s - swap_map(f, 2, g)))
+            worst["purify"] = _worse(worst["purify"], abs(f_out - purify_noisy(f, g)))
+            worst["purify_success"] = _worse(
                 worst["purify_success"], abs(p_pass - purify_success_probability(f, g))
             )
     return worst
+
+
+def _worse(worst: float, deviation: float) -> float:
+    """The larger of two deviations; NaN, once seen, is kept (``max`` drops
+    it when it comes second)."""
+    return deviation if deviation > worst or math.isnan(deviation) else worst

@@ -32,7 +32,9 @@ def validate_fidelity(f: float, name: str = "f") -> float:
 
     Values outside [0, 1] by more than ``FIDELITY_TOL`` are rejected;
     anything closer is treated as accumulated floating-point error.
+    ``bool`` is refused with ``TypeError``.
     """
+    _refuse_bool(name, f)
     if not math.isfinite(f):
         raise ValueError(f"{name} must be finite, got {f!r}")
     if f < -FIDELITY_TOL or f > 1.0 + FIDELITY_TOL:
@@ -138,6 +140,7 @@ def swap_chain_fidelity(f: float, l: int, g: GateNoiseParams) -> float:
     ``l = 1`` is the identity.  An ``l`` too large to convert to a float
     raises ``OverflowError`` naming its digit count.
     """
+    _refuse_bool("l", l)
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be an integer >= 1, got {l!r}")
     f = validate_fidelity(f)

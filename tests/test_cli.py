@@ -269,6 +269,18 @@ def test_oracle_check_catches_a_wrong_formula(capsys, monkeypatch):
     assert out.endswith("oracle deviation exceeds tolerance 1.42108547152e-14\n")
 
 
+def test_oracle_check_fails_on_a_nan_deviation(capsys, monkeypatch):
+    # NaN compares false against the tolerance both ways, so it must fail
+    # the check rather than slip under it.
+    monkeypatch.setattr(
+        repeaterlab.werner, "swap_chain_fidelity", lambda f, l, g: float("nan")
+    )
+    code, out, _ = run_cli(capsys, "oracle-check")
+    assert code == 1
+    assert out.startswith("swap_max_deviation=nan\n")
+    assert out.endswith("oracle deviation exceeds tolerance 1.42108547152e-14\n")
+
+
 def test_rate_sweep_fits_and_csv(capsys, tmp_path):
     cfg = write(tmp_path, "base.ini", BASELINE_INI)
     out_path = tmp_path / "rates.csv"

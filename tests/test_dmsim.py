@@ -358,8 +358,8 @@ def test_unhashable_or_odd_targets_raise_value_error(target):
 
 @pytest.mark.parametrize("p", [1.0, 0.9])
 def test_identity_correction_equals_its_contraction(p):
-    # The read-only constant I2 and a fresh identity take the same
-    # contraction, and the result is a new array either way.
+    # The read-only constant I2 and a fresh identity embed to the same
+    # operator, and the result is a new array either way.
     rng = random.Random(11)
     explicit = np.eye(2, dtype=complex)
     for n in range(1, 6):
@@ -413,7 +413,7 @@ def test_measure_noisy_matches_its_loop_reference_exactly():
 
 
 def test_gate_application_does_not_assume_a_hermitian_input():
-    # The column side is applied through adjoints, which holds for any matrix.
+    # U m U^H is taken as written, for any matrix m.
     rng = np.random.default_rng(9)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -476,11 +476,12 @@ def test_intermediate_oracle_states_are_density_matrices():
 
     # Entanglement swapping, as in _swap_circuit.
     rho = check(dmsim._pair_product(pairs, pairs))
-    rho = check(dmsim._noisy(rho, CNOT, (1, 2), g.p2))
-    rho = check(dmsim._conjugate(rho, H, (1,)))
-    rho = check(dmsim._readout(rho, 1, g.eta))
+    rho = check(dmsim._noisy(rho, dmsim._CNOT_12, (1, 2), g.p2))
+    rho = check(dmsim._conjugate(rho, dmsim._H_1))
+    weights = dmsim._readout_weights(g.eta)
+    rho = check(dmsim._readout(rho, 1, weights))
     joint = dmsim._outcome_probabilities(rho, 2, g.eta)
-    rho = dmsim._readout(rho, 2, g.eta)
+    rho = dmsim._readout(rho, 2, weights)
     pair = check(dmsim._partial_trace(check(rho), (0, 3)))
     pair = check(dmsim._noisy(pair, dmsim._Z_CORRECTIONS, (1,), g.p1))
     pair = check(dmsim._noisy(pair, dmsim._X_CORRECTIONS, (1,), g.p1))
@@ -489,14 +490,15 @@ def test_intermediate_oracle_states_are_density_matrices():
 
     # Purification, as in _purify_circuit.
     rho = check(dmsim._pair_product(pairs, pairs))
-    rho = check(dmsim._noisy(rho, CNOT, (0, 2), g.p2))
-    rho = check(dmsim._noisy(rho, CNOT, (1, 3), g.p2))
-    rho = check(dmsim._readout(rho, 2, g.eta))
-    rho = dmsim._readout(rho, 3, g.eta)
+    rho = check(dmsim._noisy(rho, dmsim._CNOT_02, (0, 2), g.p2))
+    rho = check(dmsim._noisy(rho, dmsim._CNOT_13, (1, 3), g.p2))
+    rho = check(dmsim._readout(rho, 2, weights))
+    rho = dmsim._readout(rho, 3, weights)
     kept = check(dmsim._partial_trace(check(rho)[..., (0, 1), (0, 1), :, :], (0, 1)))
     assert kept.shape == (3, 2, 4, 4)
-    # The unbatched walk through the public primitives checked 32 states.
-    assert len(checked) >= 32
+    # The unbatched walk through the public primitives checked 32 states,
+    # the batched einsum walk 96.
+    assert len(checked) >= 96
 
 
 def test_a_zero_probability_branch_is_masked_not_skipped(monkeypatch):
@@ -504,7 +506,7 @@ def test_a_zero_probability_branch_is_masked_not_skipped(monkeypatch):
     basis = np.zeros((4, 4), dtype=complex)
     basis[0, 0] = 1.0
     assert dmsim._outcome_probabilities(basis, 1, 1.0).tolist() == [1.0, 0.0]
-    states = dmsim._readout(basis, 1, 1.0)
+    states = dmsim._readout(basis, 1, dmsim._readout_weights(1.0))
     assert states.shape == (2, 4, 4) and not states[1].any()
     assert [b.outcome for b in measure_noisy(basis, 1, 1.0)] == [0]
     # In the swap circuit on |0000>, qubit 2 always reads 0: the branches
@@ -550,3 +552,50 @@ def test_a_relative_error_of_1e_12_in_any_map_is_caught(name, monkeypatch):
     worst = map_deviations(fidelities, noise, swap_map=swap_map)
     assert worst[name] > ORACLE_TOLERANCE
     assert all(v <= ORACLE_TOLERANCE for key, v in worst.items() if key != name)
+
+
+def test_a_nan_deviation_sticks_in_its_key():
+    g = GateNoiseParams(p1=0.99, p2=0.98, eta=0.99)
+
+    def nan_at_half(f, l, g):
+        return float("nan") if f == 0.5 else swap_chain_fidelity(f, l, g)
+
+    for swap_map in (lambda f, l, g: float("nan"), nan_at_half):
+        worst = map_deviations([0.5, 0.9], [g, GateNoiseParams()], swap_map=swap_map)
+        assert sorted(worst) == ["purify", "purify_success", "swap"]
+        assert math.isnan(worst["swap"])
+        assert worst["purify"] <= ORACLE_TOLERANCE
+        assert worst["purify_success"] <= ORACLE_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: werner.validate_fidelity(True),
+        lambda g: swap_chain_fidelity(0.9, True, g),
+        lambda g: swap_chain_fidelity(False, 2, g),
+        lambda g: purify_noisy(True, g),
+        lambda g: purify_success_probability(True, g),
+        lambda g: werner_state(True),
+        lambda g: map_deviations([0.9, True], [g]),
+    ],
+    ids=["validate", "swap-l", "swap-f", "purify", "purify-success", "werner-state",
+         "map-deviations"],
+)
+def test_the_maps_refuse_bool_arguments(call):
+    with pytest.raises(TypeError, match="must be a number, got (True|False)"):
+        call(GateNoiseParams(p1=0.99, p2=0.98, eta=0.99))
+
+
+def test_no_circuit_pass_builds_an_operator(monkeypatch):
+    # The circuits' gates are embedded once, at import; a pass that rebuilt
+    # one would call expand_operator or np.kron.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was built during a circuit pass")
+
+    monkeypatch.setattr(dmsim, "expand_operator", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    worst = map_deviations([0.3, 0.75, 1.0], SMALL_NOISE_GRID)
+    assert all(v <= ORACLE_TOLERANCE for v in worst.values())
+    es_oracle(0.9, 0.8, SMALL_NOISE_GRID[2])
+    epp_oracle(0.9, SMALL_NOISE_GRID[3])

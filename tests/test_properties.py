@@ -1,4 +1,4 @@
-"""Property tests: invariants of the maps, the oracle's contraction paths,
+"""Property tests: invariants of the maps, the oracle's kernels,
 the CSV round trips and the command line's exit contract."""
 
 import functools
@@ -36,7 +36,7 @@ from repeaterlab import (
 )
 from repeaterlab.cli import _SECTION_KEYS, main
 from repeaterlab import dmsim
-from repeaterlab.dmsim import CNOT, H, X, Z, _insert_mixed_qubit, num_qubits
+from repeaterlab.dmsim import CNOT, H, X, Z, num_qubits
 from test_werner import ABOVE_FLOOR_GATES, BASELINE
 
 #: Rounding slack of an order comparison only: the maps stay in [1/4, 1]
@@ -187,9 +187,9 @@ def test_fixed_points_are_found_or_refused_for_any_gates(g):
     assert 0.25 < fp.f_min <= fp.f_max <= 1.0
 
 
-#: The oracle's contraction paths must equal the embedded-operator reference
-#: to this absolute tolerance, entry by entry.
-CONTRACTION_TOL = 1e-13
+#: The oracle's kernels must equal their references to this absolute
+#: tolerance, entry by entry.
+KERNEL_TOL = 1e-13
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -221,16 +221,28 @@ def gate_on_state(draw):
     return random_state(rng, n), targets, op
 
 
-@given(gate_on_state())
-def test_gate_contraction_matches_embedded_operator(case):
-    rho, targets, op = case
-    full = expand_operator(op, targets, num_qubits(rho))
-    expected = full @ rho @ full.conj().T
-    if len(targets) == 1:
-        got = apply_one_qubit_noisy(rho, targets[0], op, 1.0)
-    else:
-        got = apply_two_qubit_noisy(rho, targets, op, 1.0)
-    assert np.max(np.abs(got - expected)) <= CONTRACTION_TOL
+@st.composite
+def operator_on_qubits(draw):
+    """(op, targets, n): an operator on 1..n distinct targets of n = 1..5 qubits."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    targets = tuple(draw(st.permutations(range(n)))[:k])
+    return random_operator(np.random.default_rng(draw(seeds)), k), targets, n
+
+
+@given(operator_on_qubits())
+def test_embedded_operator_entries_follow_the_index_bits(case):
+    """Entry (r, c) of the embedded operator is ``op[a, b]``, where a and b
+    read the target bits of r and c in target order, if r and c agree on
+    every other qubit, and 0 otherwise.  Qubit 0 is the leading bit."""
+    op, targets, n = case
+    rest = [q for q in range(n) if q not in targets]
+    index = np.arange(2**n)
+    bits = (index[:, None] >> (n - 1 - np.arange(n))) & 1
+    local = sum(bits[:, q] << (len(targets) - 1 - j) for j, q in enumerate(targets))
+    agree = (bits[:, None, rest] == bits[None, :, rest]).all(axis=-1)
+    expected = np.where(agree, op[local[:, None], local[None, :]], 0)
+    assert np.array_equal(expand_operator(op, targets, n), expected)
 
 
 PAULIS = (np.eye(2, dtype=complex), X, 1j * X @ Z, Z)
@@ -259,7 +271,7 @@ def test_gate_failure_matches_pauli_twirl(case, p):
         got = apply_one_qubit_noisy(rho, targets[0], op, p)
     else:
         got = apply_two_qubit_noisy(rho, targets, op, p)
-    assert np.max(np.abs(got - expected)) <= CONTRACTION_TOL
+    assert np.max(np.abs(got - expected)) <= KERNEL_TOL
 
 
 @given(gate_on_state(), st.floats(0.5, 1.0, exclude_min=True))
@@ -280,25 +292,30 @@ def test_measurement_branches_match_projector_reference(case, eta):
         (p_true, s_true), (p_flip, s_flip) = projected[b.outcome], projected[1 - b.outcome]
         prob = eta * p_true + (1.0 - eta) * p_flip
         state = (eta * s_true + (1.0 - eta) * s_flip) / prob
-        assert abs(b.probability - prob) <= CONTRACTION_TOL
-        assert np.max(np.abs(b.state - state)) <= CONTRACTION_TOL
+        assert abs(b.probability - prob) <= KERNEL_TOL
+        assert np.max(np.abs(b.state - state)) <= KERNEL_TOL
 
 
-@given(st.integers(0, 4), st.data())
-def test_mixed_qubit_insertion_matches_kron_reference(n_old, data):
+@given(st.integers(1, 5), st.data())
+def test_depolarized_matches_kron_reference(n, data):
     rng = np.random.default_rng(data.draw(seeds))
-    rho = random_state(rng, n_old)
-    n = n_old + 1
-    position = data.draw(st.integers(0, n_old))
-    # Reference: the new qubit as the last tensor factor, then each slot
-    # takes the axis of the qubit that owns it.
-    grown = np.kron(rho, np.eye(2) / 2.0)
-    owner = list(range(n_old))
-    owner.insert(position, n_old)
-    expected = grown.reshape([2] * (2 * n)).transpose(owner + [q + n for q in owner])
-    expected = expected.reshape(2**n, 2**n)
-    assert np.max(np.abs(_insert_mixed_qubit(rho, position) - expected)) <= CONTRACTION_TOL
-
+    rho = random_state(rng, n)
+    k = data.draw(st.integers(1, n))
+    targets = tuple(data.draw(st.permutations(range(n)))[:k])
+    keep = [q for q in range(n) if q not in targets]
+    # Reference: trace the targets out one row/column axis pair at a time,
+    # put I/2^k on as the last tensor factors, then let each slot take the
+    # axis of the qubit that owns it.
+    reduced = rho.reshape((2,) * (2 * n))
+    for left, q in enumerate(sorted(targets, reverse=True), start=1):
+        reduced = np.trace(reduced, axis1=q, axis2=q + n - left + 1)
+    dim = 2 ** len(keep)
+    grown = np.kron(reduced.reshape(dim, dim), np.eye(2**k) / 2**k)
+    owner = keep + sorted(targets)
+    src = [owner.index(q) for q in range(n)]
+    expected = grown.reshape((2,) * (2 * n)).transpose(src + [s + n for s in src])
+    got = dmsim._depolarized(rho, targets)
+    assert np.max(np.abs(got - expected.reshape(2**n, 2**n))) <= KERNEL_TOL
 
 
 #: A kernel on a stack of states must equal the same kernel slice by slice
@@ -309,8 +326,8 @@ BATCH_TOL = 1e-15
 @st.composite
 def stacked_kernel_calls(draw):
     """A stack of states on 1..4 qubits with batch shape of one or two axes,
-    and arguments for every kernel: targets, operators, p, kept qubits, a
-    position for a new qubit, eta."""
+    and arguments for every kernel: targets, operators embedded on them, p,
+    kept qubits, eta."""
     n = draw(st.integers(1, 4))
     batch = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     rng = np.random.default_rng(draw(seeds))
@@ -320,7 +337,9 @@ def stacked_kernel_calls(draw):
     targets = tuple(draw(st.permutations(range(n)))[:k])
     # Operators of spectral norm 1 keep every entry of U rho U^H within 1.
     ops = [random_operator(rng, k) for _ in range(count)]
-    ops = np.stack([op / np.linalg.norm(op, 2) for op in ops])
+    ops = np.stack(
+        [expand_operator(op / np.linalg.norm(op, 2), targets, n) for op in ops]
+    )
     keep = tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
     return {
         "states": states.reshape(batch + states.shape[1:]),
@@ -328,7 +347,6 @@ def stacked_kernel_calls(draw):
         "targets": targets,
         "p": draw(st.floats(0.0, 1.0)),
         "keep": keep,
-        "position": draw(st.integers(0, n)),
         "target": targets[0],
         "eta": draw(st.floats(0.5, 1.0, exclude_min=True)),
     }
@@ -351,14 +369,15 @@ def slice_by_slice(kernel, states, *stacks):
 def test_kernels_on_a_stack_equal_the_kernels_slice_by_slice(case):
     states, ops, targets, p = case["states"], case["ops"], case["targets"], case["p"]
     one_op = ops.reshape((-1,) + ops.shape[-2:])[0]
+    weights = dmsim._readout_weights(case["eta"])
     kernels = {
-        "conjugate": (lambda r: dmsim._conjugate(r, one_op, targets),),
-        "conjugate by a stack": (lambda r, op: dmsim._conjugate(r, op, targets), ops),
+        "conjugate": (lambda r: dmsim._conjugate(r, one_op),),
+        "conjugate by a stack": (lambda r, op: dmsim._conjugate(r, op), ops),
         "noisy": (lambda r: dmsim._noisy(r, one_op, targets, p),),
         "noisy by a stack": (lambda r, op: dmsim._noisy(r, op, targets, p), ops),
         "partial trace": (lambda r: dmsim._partial_trace(r, case["keep"]),),
-        "mixed qubit": (lambda r: dmsim._insert_mixed_qubit(r, case["position"]),),
-        "readout": (lambda r: dmsim._readout(r, case["target"], case["eta"]),),
+        "depolarized": (lambda r: dmsim._depolarized(r, targets),),
+        "readout": (lambda r: dmsim._readout(r, case["target"], weights),),
         "outcome probabilities":
             (lambda r: dmsim._outcome_probabilities(r, case["target"], case["eta"]),),
     }
