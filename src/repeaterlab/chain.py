@@ -27,7 +27,8 @@ from .noise import (
 from .werner import (
     DEGENERACY_THRESHOLD,
     GateNoiseParams,
-    _refuse_bool,
+    _integer,
+    _real,
     purify_noisy,
     purify_success_probability,
     swap_chain_fidelity,
@@ -63,21 +64,12 @@ class ChainConfig:
     c_epp: float = 2.0
 
     def __post_init__(self) -> None:
-        for name, value, low in (
-            ("l", self.l, 2),
-            ("n", self.n, 0),
-            ("m", self.m, 2),
-            ("epp_rounds_per_level", self.epp_rounds_per_level, 0),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        for name in ("c_es", "c_epp"):
-            value = getattr(self, name)
-            _refuse_bool(name, value)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        _integer("l", self.l, 2)
+        _integer("n", self.n, 0)
+        _integer("m", self.m, 2)
+        _integer("epp_rounds_per_level", self.epp_rounds_per_level, 0)
+        _real("c_es", self.c_es, 0.0)
+        _real("c_epp", self.c_epp, 0.0)
 
     @property
     def checkpoints(self) -> int:
@@ -145,9 +137,7 @@ def round_time(x: int, cfg: ChainConfig) -> float:
     ``c_epp`` of them for outcome comparison.  Raises ``OverflowError`` when
     the span or the latency is not a finite float.
     """
-    if not 1 <= x <= cfg.n:
-        raise ValueError(f"level must lie in 1..{cfg.n}, got {x}")
-    span_km = cfg.span_km(x)
+    span_km = cfg.span_km(_integer("level", x, 1, cfg.n))
     if math.isfinite(span_km):
         messages = cfg.c_es + cfg.c_epp * cfg.epp_rounds_per_level
         latency = messages * classical_comm_time(span_km, cfg.link)
@@ -313,16 +303,23 @@ def expected_attempts(
     round (evaluated at the fidelity entering that round).  Purification keep
     probabilities stay positive even for useless states, so this walks every
     level; it measures the cost of finishing the protocol, not of producing
-    something worth keeping.  A pair count too long to print raises
-    ``OverflowError``, as it does in the walk.
+    something worth keeping.  The count is ``inf`` once it leaves the float
+    range, which it does before the walk's pair count grows too long to
+    print: the attempts are never fewer than the pairs.
     """
-    attempts = 1.0 / link_success_probability(cfg.link.d_km, cfg.link)
+    transmission = link_success_probability(cfg.link.d_km, cfg.link)
+    attempts = 1.0 / transmission if transmission > 0.0 else math.inf
     f = cfg.link.f0
     for _, stage, f_next, _, _ in _walk(cfg, g, mem):
         if stage == "after_es":
             attempts *= cfg.l
         elif stage == "after_epp":
-            attempts *= cfg.m / purify_success_probability(f, g)
+            try:
+                attempts *= cfg.m / purify_success_probability(f, g)
+            except OverflowError:  # an m past the float range
+                return math.inf
+        if attempts == math.inf:
+            return attempts
         f = f_next
     return attempts
 

@@ -29,11 +29,10 @@ stacks of operators, one per outcome, broadcast against the branch axes.
 axis, so each gate set costs one pass of each circuit.
 
 The public primitives check their arguments on every call; the circuits
-check their gate set once per pass, and their qubit positions are literals.
-Position checks are memoized per (operator shape, positions, position types,
-qubit count).  The Bell vectors, their conjugates and their projectors are
-built once, at import, and are read-only, as are ``I2`` and the circuits'
-embedded gates.
+take a gate set that checked itself when it was built, and their qubit
+positions are literals.  The Bell vectors, their conjugates and their
+projectors are built once, at import, and are read-only, as are ``I2`` and
+the circuits' embedded gates.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .werner import GateNoiseParams, validate_fidelity
+from .werner import GateNoiseParams, _real, validate_fidelity
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,18 +111,6 @@ def num_qubits(rho: np.ndarray) -> int:
     return n
 
 
-def _check_probability(p: float, name: str) -> None:
-    """Raise unless the gate reliability ``p`` lies in [0, 1]; NaN is refused."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-
-
-def _check_eta(eta: float) -> None:
-    """Raise unless the readout fidelity ``eta`` lies in (1/2, 1]."""
-    if not 0.5 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0.5, 1], got {eta!r}")
-
-
 def check_density_matrix(rho: np.ndarray) -> None:
     """Raise if ``rho`` is not a valid state: finite, unit trace, Hermitian, PSD.
 
@@ -184,33 +171,16 @@ def _bell_overlap(rho: np.ndarray, kind: BellKind = BellKind.PHI_PLUS) -> np.nda
 def _check_targets(shape: tuple[int, ...] | None, positions, n: int) -> None:
     """Raise unless ``positions`` are distinct integer qubit indices in
     ``range(n)`` and, unless ``shape`` is ``None``, an operator of that shape
-    acts on ``len(positions)`` qubits.
-
-    Each key is checked once.  It holds each position's type beside its
-    value: ``(1.0, 2)`` equals and hashes like ``(1, 2)``, so a cache keyed
-    on values alone would pass the float once the int had passed.  A
-    position that cannot be hashed is no qubit index either.
-    """
-    key = tuple(positions)
-    try:
-        _check_targets_once(shape, key, tuple(map(type, key)), n)
-    except TypeError:
-        raise ValueError(f"positions {key} invalid for {n} qubits") from None
-
-
-# Only keys that pass are stored, and the primitives' callers use a few dozen.
-@functools.lru_cache(maxsize=1024)
-def _check_targets_once(
-    shape: tuple[int, ...] | None, positions: tuple, types: tuple[type, ...], n: int
-) -> None:
+    acts on ``len(positions)`` qubits."""
+    positions = tuple(positions)
     k = len(positions)
     if shape is not None and shape != (2**k, 2**k):
         raise ValueError(f"operator shape {shape} does not match {k} qubits")
     # Negative indices are rejected too: an einsum subscript or slice would
-    # silently read ``-1`` as the last qubit.
-    if len(set(positions)) != len(positions) or not all(
+    # silently read ``-1`` as the last qubit.  Only ints reach the set.
+    if not all(
         isinstance(q, numbers.Integral) and 0 <= q < n for q in positions
-    ):
+    ) or len(set(positions)) != k:
         raise ValueError(f"positions {positions} invalid for {n} qubits")
 
 
@@ -332,21 +302,17 @@ def apply_one_qubit_noisy(
     With probability ``p1`` the ideal ``op`` acts on ``target``; otherwise the
     target qubit is discarded and replaced by a maximally mixed one in place.
     """
-    n = num_qubits(rho)
-    _check_targets(op.shape, (target,), n)
-    _check_probability(p1, "p1")
-    return _noisy(rho, expand_operator(op, (target,), n), (target,), p1)
+    _real("p1", p1, 0.0, 1.0)
+    return _noisy(rho, expand_operator(op, (target,), num_qubits(rho)), (target,), p1)
 
 
 def apply_two_qubit_noisy(
     rho: np.ndarray, targets: tuple[int, int], op: np.ndarray, p2: float
 ) -> np.ndarray:
     """Depolarizing two-qubit operation; failure replaces both targets by I/4."""
+    _real("p2", p2, 0.0, 1.0)
     targets = tuple(targets)
-    n = num_qubits(rho)
-    _check_targets(op.shape, targets, n)
-    _check_probability(p2, "p2")
-    return _noisy(rho, expand_operator(op, targets, n), targets, p2)
+    return _noisy(rho, expand_operator(op, targets, num_qubits(rho)), targets, p2)
 
 
 @dataclass(frozen=True)
@@ -411,7 +377,7 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     measured qubit is kept, collapsed).  Zero-probability branches are
     omitted.
     """
-    _check_eta(eta)
+    _real("eta", eta, 0.5, 1.0, open_low=True)
     _check_targets(None, (target,), num_qubits(rho))
     probabilities = _outcome_probabilities(rho, target, eta)
     states = _readout(rho, target, _readout_weights(eta))
@@ -438,12 +404,6 @@ class EppResult:
     success_probability: float
 
 
-def _check_gates(g: GateNoiseParams) -> None:
-    _check_probability(g.p1, "p1")
-    _check_probability(g.p2, "p2")
-    _check_eta(g.eta)
-
-
 def _swap_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np.ndarray]:
     """:func:`es_oracle`'s circuit on a batch of four-qubit states.
 
@@ -451,7 +411,6 @@ def _swap_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np.n
     and the probabilities of the reported bits ``(m1, m2)``, shape
     ``batch + (2, 2)``.
     """
-    _check_gates(g)
     weights = _readout_weights(g.eta)
     rho = _noisy(rho, _CNOT_12, (1, 2), g.p2)
     rho = _conjugate(rho, _H_1)
@@ -472,7 +431,6 @@ def _purify_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np
     Returns the kept pair's fidelity given a pass and the pass probability,
     each of shape ``batch``.
     """
-    _check_gates(g)
     weights = _readout_weights(g.eta)
     rho = _noisy(rho, _CNOT_02, (0, 2), g.p2)
     rho = _noisy(rho, _CNOT_13, (1, 3), g.p2)
@@ -506,6 +464,7 @@ def es_oracle(f_a: float, f_b: float, g: GateNoiseParams) -> EsResult:
     Returns the probability-weighted fidelity of the surviving pair (0, 3)
     together with the probabilities of the reported pairs that can occur.
     """
+    f_a, f_b = validate_fidelity(f_a, "f_a"), validate_fidelity(f_b, "f_b")
     fidelity, joint = _swap_circuit(
         _pair_product(werner_state(f_a), werner_state(f_b)), g
     )

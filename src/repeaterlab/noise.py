@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .werner import DEGENERACY_THRESHOLD, MIXED_FIDELITY, _refuse_bool, validate_fidelity
+from .werner import (
+    DEGENERACY_THRESHOLD, FIDELITY_TOL, MIXED_FIDELITY, _real, validate_fidelity,
+)
 
 
 @dataclass(frozen=True)
@@ -18,21 +20,11 @@ class LinkModel:
     c_signal_km_s: float = 2.0e5
 
     def __post_init__(self) -> None:
-        for name in ("d_km", "f0", "alpha_db_per_km", "c_signal_km_s"):
-            _refuse_bool(name, getattr(self, name))
-        if not (math.isfinite(self.d_km) and self.d_km > 0.0):
-            raise ValueError(f"d_km must be positive, got {self.d_km!r}")
-        if not (math.isfinite(self.alpha_db_per_km) and self.alpha_db_per_km >= 0.0):
-            raise ValueError(
-                f"alpha_db_per_km must be >= 0, got {self.alpha_db_per_km!r}"
-            )
-        if not (math.isfinite(self.c_signal_km_s) and self.c_signal_km_s > 0.0):
-            raise ValueError(
-                f"c_signal_km_s must be positive, got {self.c_signal_km_s!r}"
-            )
+        _real("d_km", self.d_km, 0.0, open_low=True)
+        _real("alpha_db_per_km", self.alpha_db_per_km, 0.0)
+        _real("c_signal_km_s", self.c_signal_km_s, 0.0, open_low=True)
         # At or below the degeneracy floor the chain would stop before it starts.
-        if validate_fidelity(self.f0, "f0") <= DEGENERACY_THRESHOLD:
-            raise ValueError(f"f0 must exceed 1/4 + 1e-12, got {self.f0!r}")
+        _real("f0", self.f0, DEGENERACY_THRESHOLD, 1.0 + FIDELITY_TOL, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,6 @@ class MemoryModel:
     tau_s: float | None = None
 
     def __post_init__(self) -> None:
-        _refuse_bool("tau_s", self.tau_s)
         if self.mode not in ("none", "exponential"):
             raise ValueError(f"mode must be 'none' or 'exponential', got {self.mode!r}")
         if self.mode == "none" and self.tau_s is not None:
@@ -56,10 +47,7 @@ class MemoryModel:
         if self.mode == "exponential":
             if self.tau_s is None:
                 raise ValueError("mode=exponential requires tau_s")
-            if not (math.isfinite(self.tau_s) and self.tau_s > 0.0):
-                raise ValueError(
-                    f"exponential memory needs tau_s > 0, got {self.tau_s!r}"
-                )
+            _real("tau_s", self.tau_s, 0.0, open_low=True)
 
     @classmethod
     def none(cls) -> "MemoryModel":
@@ -77,8 +65,7 @@ def memory_decay(f: float, t_s: float, mem: MemoryModel) -> float:
     ``1/4 + (f - 1/4) * exp(-t/tau)``; the floor 1/4 is never crossed.
     """
     f = validate_fidelity(f)
-    if not (math.isfinite(t_s) and t_s >= 0.0):
-        raise ValueError(f"t_s must be >= 0, got {t_s!r}")
+    _real("t_s", t_s, 0.0)
     if mem.mode == "none" or t_s == 0.0:
         return f
     assert mem.tau_s is not None
@@ -87,13 +74,9 @@ def memory_decay(f: float, t_s: float, mem: MemoryModel) -> float:
 
 def link_success_probability(distance_km: float, link: LinkModel) -> float:
     """Transmission probability over ``distance_km`` of fiber, 10^(-alpha*d/10)."""
-    if not (math.isfinite(distance_km) and distance_km >= 0.0):
-        raise ValueError(f"distance_km must be finite and >= 0, got {distance_km!r}")
-    return 10.0 ** (-link.alpha_db_per_km * distance_km / 10.0)
+    return 10.0 ** (-link.alpha_db_per_km * _real("distance_km", distance_km, 0.0) / 10.0)
 
 
 def classical_comm_time(span_km: float, link: LinkModel) -> float:
     """One-way classical signalling time across ``span_km``, in seconds."""
-    if not (math.isfinite(span_km) and span_km >= 0.0):
-        raise ValueError(f"span_km must be >= 0, got {span_km!r}")
-    return span_km / link.c_signal_km_s
+    return _real("span_km", span_km, 0.0) / link.c_signal_km_s

@@ -15,7 +15,10 @@ from typing import NamedTuple, Sequence
 
 from .chain import ChainConfig, TraceStep, _steps
 from .noise import MemoryModel, link_success_probability
-from .werner import GateNoiseParams, purification_fixed_points, werner_weight
+from .werner import (
+    GateNoiseParams, _integer, _real, purification_fixed_points, validate_fidelity,
+    werner_weight,
+)
 
 METRICS = ("resource_normalized", "time_normalized")
 
@@ -43,12 +46,8 @@ class RatePoint:
     def __post_init__(self) -> None:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; expected {METRICS}")
-        if not self.distance_km > 0.0 or not math.isfinite(self.distance_km):
-            raise ValueError(
-                f"distance must be finite and positive, got {self.distance_km!r}"
-            )
-        if not self.rate > 0.0 or not math.isfinite(self.rate):
-            raise ValueError(f"rate must be finite and positive, got {self.rate!r}")
+        _real("distance_km", self.distance_km, 0.0, open_low=True)
+        _real("rate", self.rate, 0.0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,8 @@ def usefulness_weight(f: float, f_useful: float) -> float:
     zero exactly at the fully mixed state, instead of a hard step that would
     flatten every asymptotic-shape question into "rate is zero".
     """
-    if f >= f_useful:
+    f = validate_fidelity(f)
+    if f >= validate_fidelity(f_useful, "f_useful"):
         return 1.0
     return max(0.0, werner_weight(f)) ** 2
 
@@ -259,10 +259,10 @@ def sweep_rates(
     points: dict[tuple[str, str], list[RatePoint]] = {key: [] for key in CURVES}
     previous = -math.inf
     for n in n_values:
-        if n <= previous:
+        if _integer("n", n, 0) <= previous:
             raise ValueError("n_values must be strictly increasing")
         previous = n
-        distance = replace(cfg, n=n).total_distance_km
+        distance = cfg.span_km(n)
         if math.isinf(distance):
             raise OverflowError(f"depth {n}: total distance is past the float range")
         direct_rate = link_success_probability(distance, cfg.link)

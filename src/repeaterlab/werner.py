@@ -5,11 +5,17 @@ target Bell state and the rest on the fully mixed state.  Swapping,
 purification and memory decay (:mod:`repeaterlab.noise`) all have the form
 ``1/4 + (3/4) * (weight)``, so a weight in [0, 1] keeps the fidelity in
 [1/4, 1].  The density-matrix reference circuits live in :mod:`repeaterlab.dmsim`.
+
+Every number the package takes passes one rule, :func:`_real` or
+:func:`_integer`: a ``bool``, a non-number or a non-integer where an integer
+is needed raises ``TypeError``; NaN, an infinity, an int past the float
+range or a value out of range raises ``ValueError``.  Both name the parameter.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -32,24 +38,49 @@ def validate_fidelity(f: float, name: str = "f") -> float:
 
     Values outside [0, 1] by more than ``FIDELITY_TOL`` are rejected;
     anything closer is treated as accumulated floating-point error.
-    ``bool`` is refused with ``TypeError``.
     """
-    _refuse_bool(name, f)
-    if not math.isfinite(f):
-        raise ValueError(f"{name} must be finite, got {f!r}")
-    if f < -FIDELITY_TOL or f > 1.0 + FIDELITY_TOL:
-        raise ValueError(f"{name} must lie in [0, 1], got {f!r}")
-    return min(1.0, max(0.0, f))
+    return min(1.0, max(0.0, _real(name, f, -FIDELITY_TOL, 1.0 + FIDELITY_TOL)))
 
 
-def _refuse_bool(name: str, value) -> None:
-    """Raise ``TypeError`` if the numeric field ``name`` holds a ``bool``.
+_FLOAT_MAX = sys.float_info.max
 
-    ``True`` and ``False`` pass every numeric comparison as 1 and 0, so a
-    flag passed by mistake would read as a valid number.
-    """
-    if isinstance(value, bool):
+
+def _real(name: str, value, low: float, high: float = _FLOAT_MAX, open_low: bool = False):
+    """``value``, if it is an ``int`` or ``float`` from ``low`` (excluded if
+    ``open_low``) to ``high``, which defaults to the largest float: NaN, the
+    infinities and an int past the float range fail the comparison."""
+    kind = value.__class__
+    # Exact int and float, the common case, skip the isinstance test.
+    if kind is not float and kind is not int and (
+        kind is bool or not isinstance(value, (int, float))
+    ):
         raise TypeError(f"{name} must be a number, got {value!r}")
+    if (low < value <= high) if open_low else (low <= value <= high):
+        return value
+    raise _out_of_range(name, value, low, high, open_low)
+
+
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value``, if it is an ``int`` from ``low`` to ``high`` (unbounded if
+    None).  Any other number raises ``TypeError`` too, as ``2.0`` does."""
+    kind = value.__class__
+    if kind is not int and (kind is bool or not isinstance(value, int)):
+        if kind is bool or not isinstance(value, numbers.Number):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if low <= value and (high is None or value <= high):
+        return value
+    raise _out_of_range(name, value, low, high)
+
+
+def _out_of_range(name: str, value, low, high, open_low: bool = False) -> ValueError:
+    """The error for a number outside its interval; an int past the float
+    range is shown by its digit count, as ``str`` may refuse it."""
+    left = "(" if open_low else "["
+    right = "inf)" if high is None or high == _FLOAT_MAX else f"{high:.15g}]"
+    huge = isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX
+    shown = f"an int of {_digit_count(value)} digits" if huge else repr(value)
+    return ValueError(f"{name} must lie in {left}{low:.15g}, {right}, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -68,15 +99,9 @@ class GateNoiseParams:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2", "eta"):
-            v = getattr(self, name)
-            _refuse_bool(name, v)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {v!r}")
-        if self.eta <= 0.5:
-            raise ValueError(f"eta must exceed 0.5, got {self.eta!r}")
+        _real("p1", self.p1, 0.0, 1.0, open_low=True)
+        _real("p2", self.p2, 0.0, 1.0, open_low=True)
+        _real("eta", self.eta, 0.5, 1.0, open_low=True)
 
 
 def werner_weight(f: float) -> float:
@@ -140,9 +165,7 @@ def swap_chain_fidelity(f: float, l: int, g: GateNoiseParams) -> float:
     ``l = 1`` is the identity.  An ``l`` too large to convert to a float
     raises ``OverflowError`` naming its digit count.
     """
-    _refuse_bool("l", l)
-    if not isinstance(l, int) or l < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    _integer("l", l, 1)
     f = validate_fidelity(f)
     k = g.p1 * g.p1 * g.p2 * (4.0 * g.eta * g.eta - 1.0) / 3.0
     w = werner_weight(f)
@@ -155,7 +178,7 @@ def swap_chain_fidelity(f: float, l: int, g: GateNoiseParams) -> float:
 def _digit_count(n: int) -> str:
     """Decimal digits of ``n``, or a bound for an int too long for ``str``."""
     try:
-        return str(len(str(n)))
+        return str(len(str(abs(n))))
     except ValueError:
         return f"more than {sys.get_int_max_str_digits()}"
 
@@ -174,11 +197,8 @@ class FixedPoints:
     marginal: bool = False
 
     def __post_init__(self) -> None:
-        if not (MIXED_FIDELITY < self.f_min <= self.f_max <= 1.0 + FIDELITY_TOL):
-            raise ValueError(
-                f"fixed points must satisfy 1/4 < f_min <= f_max <= 1, "
-                f"got ({self.f_min!r}, {self.f_max!r})"
-            )
+        _real("f_min", self.f_min, MIXED_FIDELITY, 1.0 + FIDELITY_TOL, open_low=True)
+        _real("f_max", self.f_max, self.f_min, 1.0 + FIDELITY_TOL)
 
 
 def purification_fixed_points(g: GateNoiseParams) -> FixedPoints:

@@ -309,8 +309,8 @@ def test_bad_targets_and_shapes_raise_value_error(call):
     ids=["trace", "measure-fractional", "measure-float", "one", "one-identity", "two"],
 )
 def test_checks_remembered_for_an_int_target_still_refuse_a_float(valid, invalid):
-    # Positions are checked once per key; (1.0, 2) equals and hashes like
-    # (1, 2), so the key must tell the element types apart.
+    # (1.0, 2) equals and hashes like (1, 2); a float position is refused
+    # however often the int one has passed.
     rho = random_mixed_state(random.Random(2), 3)
     for _ in range(2):
         valid(rho)

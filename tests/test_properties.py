@@ -4,7 +4,9 @@ the CSV round trips and the command line's exit contract."""
 import functools
 import io
 import itertools
+import math
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -15,28 +17,41 @@ from hypothesis import strategies as st
 
 from repeaterlab import (
     ChainConfig,
+    FixedPoints,
     GateNoiseParams,
     LinkModel,
     MemoryModel,
     NoValidRangeError,
+    RatePoint,
     apply_one_qubit_noisy,
     apply_two_qubit_noisy,
+    check_density_matrix,
+    classical_comm_time,
     curves_from_csv,
     curves_to_csv,
+    epp_oracle,
+    es_oracle,
     expand_operator,
+    link_success_probability,
+    map_deviations,
     measure_noisy,
+    memory_decay,
     purification_fixed_points,
     purify_noisy,
     purify_success_probability,
+    round_time,
     simulate_chain,
     swap_chain_fidelity,
     sweep_rates,
     trace_from_csv,
     trace_to_csv,
+    usefulness_weight,
+    validate_fidelity,
+    werner_state,
 )
 from repeaterlab.cli import _SECTION_KEYS, main
 from repeaterlab import dmsim
-from repeaterlab.dmsim import CNOT, H, X, Z, num_qubits
+from repeaterlab.dmsim import CNOT, ORACLE_TOLERANCE, H, X, Z, num_qubits
 from test_werner import ABOVE_FLOOR_GATES, BASELINE
 
 #: Rounding slack of an order comparison only: the maps stay in [1/4, 1]
@@ -499,3 +514,143 @@ def test_cli_answers_any_config_with_a_clean_exit(text):
                 assert err.getvalue().count("\n") == 1
             else:
                 assert err.getvalue() == ""
+
+
+#: Hostile numbers for every numeric parameter of the public API: NaN, the
+#: infinities, subnormals, the float range's edges and ints past it, flags,
+#: non-numbers, and the edges 0, 1/4 and 1.
+HOSTILE = (
+    math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 10**400, -10**400,
+    True, False, "0.5", None, 0, 0.25, 1,
+)
+hostile = st.one_of(st.sampled_from(HOSTILE), st.floats(), st.integers())
+
+NOISY = GateNoiseParams(p1=0.99, p2=0.98, eta=0.99)
+PAIR = werner_state(0.9)
+CHAIN = ChainConfig(l=2, n=3, link=LinkModel())
+
+
+def physical(f) -> bool:
+    return 0.0 <= f <= 1.0
+
+
+def positive_finite(x) -> bool:
+    return 0.0 < x < math.inf
+
+
+def density_matrix(rho) -> bool:
+    check_density_matrix(rho)
+    return True
+
+
+def full_probability(branches) -> bool:
+    return abs(sum(b.probability for b in branches) - 1.0) <= 1e-12
+
+
+def a_float_field(name, low=0.0):
+    """A constructed object's field ``name`` holds a finite number >= ``low``."""
+    def holds(obj):
+        value = getattr(obj, name)
+        return type(value) in (int, float) and low <= value < math.inf
+    return holds
+
+
+def an_int_field(name, low):
+    return lambda obj: type(getattr(obj, name)) is int and getattr(obj, name) >= low
+
+
+#: ``(parameter, call, invariant)``: the name a refusal must carry, a call
+#: that puts the drawn value in that parameter, and what an answer satisfies.
+#: ``werner_weight`` and ``fidelity_from_weight`` are left out: they are
+#: unchecked affine converters, called only on values already checked.
+NUMERIC_PARAMETERS = {
+    "validate_fidelity": ("f", validate_fidelity, physical),
+    "purify_noisy": ("f", lambda v: purify_noisy(v, NOISY), physical),
+    "purify_success_probability": (
+        "f", lambda v: purify_success_probability(v, NOISY), lambda p: 0.0 < p <= 1.0),
+    "swap_chain_fidelity.f": ("f", lambda v: swap_chain_fidelity(v, 2, NOISY), physical),
+    "swap_chain_fidelity.l": ("l", lambda v: swap_chain_fidelity(0.9, v, NOISY), physical),
+    "memory_decay.f": (
+        "f", lambda v: memory_decay(v, 1e-3, MemoryModel.exponential(0.01)), physical),
+    "memory_decay.t_s": (
+        "t_s", lambda v: memory_decay(0.9, v, MemoryModel.exponential(0.01)), physical),
+    "link_success_probability": (
+        "distance_km", lambda v: link_success_probability(v, LinkModel()), physical),
+    "classical_comm_time": (
+        "span_km", lambda v: classical_comm_time(v, LinkModel()),
+        lambda t: 0.0 <= t < math.inf),
+    "round_time": ("level", lambda v: round_time(v, CHAIN), positive_finite),
+    "usefulness_weight.f": ("f", lambda v: usefulness_weight(v, 0.5), physical),
+    "usefulness_weight.f_useful": (
+        "f_useful", lambda v: usefulness_weight(0.9, v), physical),
+    "RatePoint.distance_km": (
+        "distance_km", lambda v: RatePoint(v, 1.0, "resource_normalized"),
+        a_float_field("distance_km")),
+    "RatePoint.rate": (
+        "rate", lambda v: RatePoint(1.0, v, "resource_normalized"), a_float_field("rate")),
+    "werner_state": ("f", werner_state, density_matrix),
+    "measure_noisy.eta": ("eta", lambda v: measure_noisy(PAIR, 0, v), full_probability),
+    "measure_noisy.target": (
+        "positions", lambda v: measure_noisy(PAIR, v, 0.9), full_probability),
+    "apply_one_qubit_noisy.p1": (
+        "p1", lambda v: apply_one_qubit_noisy(PAIR, 0, X, v), density_matrix),
+    "apply_one_qubit_noisy.target": (
+        "positions", lambda v: apply_one_qubit_noisy(PAIR, v, X, 0.9), density_matrix),
+    "apply_two_qubit_noisy.p2": (
+        "p2", lambda v: apply_two_qubit_noisy(PAIR, (0, 1), CNOT, v), density_matrix),
+    "es_oracle.f_a": ("f_a", lambda v: es_oracle(v, 0.9, NOISY), lambda r: physical(r.fidelity)),
+    "es_oracle.f_b": ("f_b", lambda v: es_oracle(0.9, v, NOISY), lambda r: physical(r.fidelity)),
+    "epp_oracle": (
+        "f", lambda v: epp_oracle(v, NOISY),
+        lambda r: physical(r.f_out) and 0.0 < r.success_probability <= 1.0),
+    "map_deviations": (
+        "f", lambda v: map_deviations([v], [NOISY]),
+        lambda worst: all(d <= ORACLE_TOLERANCE for d in worst.values())),
+    "FixedPoints.f_min": ("f_min", lambda v: FixedPoints(v, 1.0), a_float_field("f_min", 0.25)),
+    "FixedPoints.f_max": ("f_max", lambda v: FixedPoints(0.5, v), a_float_field("f_max", 0.5)),
+    "GateNoiseParams.p1": ("p1", lambda v: GateNoiseParams(p1=v), a_float_field("p1")),
+    "GateNoiseParams.p2": ("p2", lambda v: GateNoiseParams(p2=v), a_float_field("p2")),
+    "GateNoiseParams.eta": ("eta", lambda v: GateNoiseParams(eta=v), a_float_field("eta")),
+    "LinkModel.d_km": ("d_km", lambda v: LinkModel(d_km=v), a_float_field("d_km")),
+    "LinkModel.f0": ("f0", lambda v: LinkModel(f0=v), a_float_field("f0", 0.25)),
+    "LinkModel.alpha_db_per_km": (
+        "alpha_db_per_km", lambda v: LinkModel(alpha_db_per_km=v),
+        a_float_field("alpha_db_per_km")),
+    "LinkModel.c_signal_km_s": (
+        "c_signal_km_s", lambda v: LinkModel(c_signal_km_s=v), a_float_field("c_signal_km_s")),
+    "MemoryModel.exponential": ("tau_s", MemoryModel.exponential, a_float_field("tau_s")),
+    "MemoryModel.none": (
+        "tau_s", lambda v: MemoryModel("none", v), lambda mem: mem.tau_s is None),
+    "ChainConfig.l": ("l", lambda v: replace(CHAIN, l=v), an_int_field("l", 2)),
+    "ChainConfig.n": ("n", lambda v: replace(CHAIN, n=v), an_int_field("n", 0)),
+    "ChainConfig.m": ("m", lambda v: replace(CHAIN, m=v), an_int_field("m", 2)),
+    "ChainConfig.epp_rounds_per_level": (
+        "epp_rounds_per_level", lambda v: replace(CHAIN, epp_rounds_per_level=v),
+        an_int_field("epp_rounds_per_level", 0)),
+    "ChainConfig.c_es": ("c_es", lambda v: replace(CHAIN, c_es=v), a_float_field("c_es")),
+    "ChainConfig.c_epp": ("c_epp", lambda v: replace(CHAIN, c_epp=v), a_float_field("c_epp")),
+}
+
+
+def every_hostile_value(test):
+    """``test`` with each :data:`HOSTILE` value in each parameter as an
+    explicit example, so every run tries all of them."""
+    for site in reversed(NUMERIC_PARAMETERS):
+        for value in reversed(HOSTILE):
+            test = example(site=site, value=value)(test)
+    return test
+
+
+@given(site=st.sampled_from(list(NUMERIC_PARAMETERS)), value=hostile)
+@every_hostile_value
+def test_every_number_the_api_takes_gets_an_answer_or_a_named_error(site, value):
+    """An answer that passes its invariant, or a ``TypeError`` or
+    ``ValueError`` whose message names the parameter as a word, or an
+    ``OverflowError`` in the package's own words, which name it too."""
+    parameter, call, invariant = NUMERIC_PARAMETERS[site]
+    try:
+        result = call(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        assert re.search(rf"\b{parameter}\b", str(exc)), f"{type(exc).__name__}: {exc}"
+    else:
+        assert invariant(result), result

@@ -230,7 +230,8 @@ def test_swap_chain_composes():
 def test_swap_chain_validates_segments():
     with pytest.raises(ValueError):
         swap_chain_fidelity(0.9, 0, GateNoiseParams())
-    with pytest.raises(ValueError):
+    # A fractional l is the wrong type, as it is for ChainConfig.
+    with pytest.raises(TypeError, match="^l must be an integer, got 2.5$"):
         swap_chain_fidelity(0.9, 2.5, GateNoiseParams())
 
 
