@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import starmap
+from typing import NamedTuple
 
 from .noise import (
     LinkModel,
@@ -92,8 +92,7 @@ class ChainConfig:
             return math.inf
 
 
-@dataclass(frozen=True)
-class ScheduleRound:
+class ScheduleRound(NamedTuple):
     """Which stations act at one level: swap set and purify set are disjoint."""
 
     level: int
@@ -146,8 +145,7 @@ def round_time(x: int, cfg: ChainConfig) -> float:
     raise OverflowError(f"level {x} latency is not a finite float (span {span_km!r} km)")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     level: int
     stage: str
     fidelity: float
@@ -185,7 +183,7 @@ class FidelityTrace:
 
 
 def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
-    """Yield every stage of the protocol as ``TraceStep`` field tuples.
+    """Yield every stage of the protocol as a ``TraceStep``.
 
     Per level, in order: the swap update over ``l`` segments, memory decay
     over the level's full latency (time advances even when the memory is
@@ -201,28 +199,28 @@ def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
     f = cfg.link.f0
     elapsed = 0.0
     pairs = 1
-    yield 0, "init", f, elapsed, pairs
+    yield TraceStep(0, "init", f, elapsed, pairs)
     for x in range(1, cfg.n + 1):
         f = swap_chain_fidelity(f, cfg.l, g)
         pairs *= cfg.l
         if pairs.bit_length() > max_bits:
             raise _too_long(pairs.bit_length())
-        yield x, "after_es", f, elapsed, pairs
+        yield TraceStep(x, "after_es", f, elapsed, pairs)
         dt = round_time(x, cfg)
         f = memory_decay(f, dt, mem)
         elapsed += dt
-        yield x, "after_memory", f, elapsed, pairs
+        yield TraceStep(x, "after_memory", f, elapsed, pairs)
         for _ in range(cfg.epp_rounds_per_level):
             f = purify_noisy(f, g)
             pairs *= cfg.m
             if pairs.bit_length() > max_bits:
                 raise _too_long(pairs.bit_length())
-            yield x, "after_epp", f, elapsed, pairs
+            yield TraceStep(x, "after_epp", f, elapsed, pairs)
 
 
 def _steps(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
     """The walk's ``TraceStep``s, up to and including the first degenerate one."""
-    for step in starmap(TraceStep, _walk(cfg, g, mem)):
+    for step in _walk(cfg, g, mem):
         yield step
         if step.degenerate:
             return
@@ -310,17 +308,17 @@ def expected_attempts(
     transmission = link_success_probability(cfg.link.d_km, cfg.link)
     attempts = 1.0 / transmission if transmission > 0.0 else math.inf
     f = cfg.link.f0
-    for _, stage, f_next, _, _ in _walk(cfg, g, mem):
-        if stage == "after_es":
+    for step in _walk(cfg, g, mem):
+        if step.stage == "after_es":
             attempts *= cfg.l
-        elif stage == "after_epp":
+        elif step.stage == "after_epp":
             try:
                 attempts *= cfg.m / purify_success_probability(f, g)
             except OverflowError:  # an m past the float range
                 return math.inf
         if attempts == math.inf:
             return attempts
-        f = f_next
+        f = step.fidelity
     return attempts
 
 
@@ -355,9 +353,9 @@ def trace_from_csv(text: str) -> FidelityTrace:
 
     The degeneracy flag is not a CSV column; it is read off the last row,
     which is exact because :func:`trace_to_csv` never rounds a fidelity
-    across the floor.  A row with a fidelity outside [0, 1], an elapsed
-    time that is negative or not finite, or a pair count below 1 raises
-    ``ValueError`` naming the row.
+    across the floor.  A row that does not parse, or has a fidelity outside
+    [0, 1], an elapsed time that is negative or not finite, or a pair count
+    below 1, raises ``ValueError`` naming the row.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != "level,stage,fidelity,elapsed_seconds,pairs_consumed":
@@ -365,12 +363,15 @@ def trace_from_csv(text: str) -> FidelityTrace:
     steps = []
     for row, line in enumerate(lines[1:], 1):
         cells = line.split(",")
-        if len(cells) != 5:
-            raise ValueError(f"expected 5 CSV columns, got {line!r}")
-        level, stage, fidelity, elapsed, pairs = cells
-        if stage not in STAGES:
-            raise ValueError(f"unknown trace stage {stage!r}")
-        step = TraceStep(int(level), stage, float(fidelity), float(elapsed), int(pairs))
+        try:
+            if len(cells) != 5:
+                raise ValueError(f"expected 5 CSV columns, got {line!r}")
+            level, stage, fidelity, elapsed, pairs = cells
+            if stage not in STAGES:
+                raise ValueError(f"unknown trace stage {stage!r}")
+            step = TraceStep(int(level), stage, float(fidelity), float(elapsed), int(pairs))
+        except ValueError as exc:
+            raise ValueError(f"trace CSV row {row}: {exc}") from None
         if not (
             0.0 <= step.fidelity <= 1.0
             and 0.0 <= step.elapsed_seconds < math.inf

@@ -22,7 +22,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .chain import ChainConfig, resource_count, simulate_chain, trace_to_csv
 from .noise import LinkModel, MemoryModel
@@ -38,6 +38,7 @@ from .rates import (
 from .werner import (
     GateNoiseParams,
     NoValidRangeError,
+    _integer,
     purification_fixed_points,
     purify_noisy,
     purify_success_probability,
@@ -64,30 +65,15 @@ class ConfigError(Exception):
     """Anything wrong with the config file or its values."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Integer sweep over the chain depth n."""
+class RunConfig(NamedTuple):
+    """Everything a subcommand reads; ``sweep`` holds the chain depths n."""
 
-    start: int = 1
-    stop: int = 8
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.stop < self.start or self.step < 1:
-            raise ValueError("need 0 <= start <= stop and step >= 1")
-
-    def values(self) -> range:
-        return range(self.start, self.stop + 1, self.step)
-
-
-@dataclass(frozen=True)
-class RunConfig:
     chain: ChainConfig
     gates: GateNoiseParams
     memory: MemoryModel
-    sweep: SweepSpec
-    query_f: float = 0.8
-    f_useful: float | None = None
+    sweep: range
+    query_f: float
+    f_useful: float | None
 
 
 def _fmt(value: float) -> str:
@@ -141,13 +127,17 @@ def load_run_config(path: str | None) -> RunConfig:
     link = build("link", LinkModel)
     gates = build("gates", GateNoiseParams)
     memory = build("memory", MemoryModel)
-    # ChainConfig has no defaults for the chain's shape.
+    # The defaults no built object holds: the chain's shape, the swept depths
+    # n = start, start + step, ... up to stop, and the query fidelity.
     chain = build("chain", ChainConfig, l=2, n=3, link=link)
-    sweep = build("sweep", SweepSpec)
+    sweep = build("sweep", lambda start, stop, step: range(
+        _integer("start", start, 0), _integer("stop", stop, start) + 1,
+        _integer("step", step, 1),
+    ), start=1, stop=8, step=1)
     f_useful = build("rate", lambda f_useful=None: (
         None if f_useful is None else validate_fidelity(f_useful, "f_useful")
     ))
-    query_f = build("query", validate_fidelity, f=RunConfig.query_f)
+    query_f = build("query", validate_fidelity, f=0.8)
     return RunConfig(chain, gates, memory, sweep, query_f, f_useful)
 
 
@@ -204,9 +194,7 @@ def cmd_threshold(run: RunConfig, args) -> int:
 
 def cmd_rate_sweep(run: RunConfig, args) -> int:
     out = _require_out(args)
-    curves = sweep_rates(
-        run.chain, run.gates, run.memory, run.sweep.values(), run.f_useful
-    )
+    curves = sweep_rates(run.chain, run.gates, run.memory, run.sweep, run.f_useful)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(curves_to_csv(curves))
 
@@ -229,10 +217,9 @@ def cmd_rate_sweep(run: RunConfig, args) -> int:
             f"parameter={_fmt(fit.parameter)} goodness={_fmt(fit.goodness)}"
         )
     for regime, metric, fit in fits:
-        for field in fields(fit):
-            value = getattr(fit, field.name)
+        for name, value in zip(fit._fields, fit):
             text = value if isinstance(value, str) else _fmt(value)
-            print(f"{regime}.{metric}.{field.name}={text}")
+            print(f"{regime}.{metric}.{name}={text}")
     for regime, metric, message in failures:
         print(f"InsufficientPoints regime={regime} metric={metric}: {message}")
     return 1 if failures else 0

@@ -42,7 +42,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,8 +315,7 @@ def apply_two_qubit_noisy(
     return _noisy(rho, expand_operator(op, targets, num_qubits(rho)), targets, p2)
 
 
-@dataclass(frozen=True)
-class MeasurementBranch:
+class MeasurementBranch(NamedTuple):
     outcome: int
     probability: float
     state: np.ndarray
@@ -388,16 +387,14 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     ]
 
 
-@dataclass(frozen=True)
-class EsResult:
+class EsResult(NamedTuple):
     """Outcome-averaged entanglement-swapping result."""
 
     fidelity: float
     outcome_probabilities: dict
 
 
-@dataclass(frozen=True)
-class EppResult:
+class EppResult(NamedTuple):
     """Purification round result: kept-pair fidelity and pass probability."""
 
     f_out: float

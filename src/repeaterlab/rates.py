@@ -127,8 +127,7 @@ def repeater_rate(
     return RepeaterRate(*_rates_at(end, f_useful), end.fidelity)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Where memory decay first defeats purification, if anywhere.
 
     ``distance_km`` is ``l**level * d`` for the first level whose post-swap,
@@ -162,8 +161,7 @@ def threshold_distance(
     return ThresholdResult(math.inf, None, fp.f_min, None)
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Winner of the polynomial-versus-exponential decay comparison.
 
     ``parameter`` is the polynomial degree or the exponential constant per
@@ -303,18 +301,19 @@ def curves_from_csv(text: str) -> list[RateCurve]:
     block_key: tuple[str, str] | None = None
     for row, line in enumerate(lines[1:], 1):
         cells = line.split(",")
-        if len(cells) != 4:
-            raise ValueError(f"expected 4 CSV columns, got {line!r}")
-        distance, rate, metric, regime = cells
+        try:
+            if len(cells) != 4:
+                raise ValueError(f"expected 4 CSV columns, got {line!r}")
+            distance, rate, metric, regime = cells
+            point = RatePoint(float(distance), float(rate), metric)
+        except ValueError as exc:
+            raise ValueError(f"rate-curve CSV row {row}: {exc}") from None
         key = (regime, metric)
         if block_key is not None and key != block_key:
             curves.append(RateCurve(block_key[0], tuple(block)))
             block = []
         block_key = key
-        try:
-            block.append(RatePoint(float(distance), float(rate), metric))
-        except ValueError as exc:
-            raise ValueError(f"rate-curve CSV row {row}: {exc}") from None
+        block.append(point)
     if block_key is not None:
         curves.append(RateCurve(block_key[0], tuple(block)))
     return curves

@@ -485,6 +485,14 @@ def test_trace_csv_rejects_malformed_input():
                 "1,after_epp,0.8,0.1,0"):
         with pytest.raises(ValueError, match=f"row 2 is out of range: '{row}'"):
             trace_from_csv(header + row + "\n")
+    # A row that does not parse is named too.
+    for row, message in (("x,after_es,0.8,0,2", "invalid literal for int"),
+                         ("1,after_es,abc,0,2", "could not convert string to float"),
+                         ("1,after_epp,0.8,0.1," + "9" * 5000, "Exceeds the limit"),
+                         ("1,meditating,0.8,0,2", "unknown trace stage 'meditating'"),
+                         ("1,after_es,0.8,0", "expected 5 CSV columns")):
+        with pytest.raises(ValueError, match=f"^trace CSV row 2: {message}"):
+            trace_from_csv(header + row + "\n")
     # A walk can end a rounding error below 1/4; such a row still reads back.
     floor = trace_from_csv(header + "1,after_es,0.24999999999999994,0,2\n")
     assert floor.degenerate

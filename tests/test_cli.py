@@ -658,7 +658,9 @@ def test_sweep_has_no_parameter_key(capsys, tmp_path):
 @pytest.mark.parametrize("ini, message", [
     ("[memory]\ntau_s = 0.01\n", "tau_s only applies to mode=exponential"),
     ("[memory]\nmode = exponential\n", "mode=exponential requires tau_s"),
-    ("[sweep]\nstart = 5\nstop = 4\n", "need 0 <= start <= stop and step >= 1"),
+    ("[sweep]\nstart = 5\nstop = 4\n", "stop must lie in [5, inf), got 4"),
+    ("[sweep]\nstart = -1\n", "start must lie in [0, inf), got -1"),
+    ("[sweep]\nstep = 0\n", "step must lie in [1, inf), got 0"),
 ])
 def test_section_rules_come_from_the_objects_they_build(capsys, tmp_path, ini,
                                                         message):

@@ -8,11 +8,12 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repeaterlab import (
@@ -487,33 +488,79 @@ def config_files(draw):
 CLI_COMMANDS = ("fixed-points", "purify", "swap", "trace", "threshold", "rate-sweep")
 
 
-@given(config_files())
-@example("[query]\nf = 1.5\n")
-@example("[link]\nc_signal_km_s = 1e-310\n")
-@example("[link]\nd_km = 1e308\n")
-@example("[chain]\nc_es = 1e308\nc_epp = 1e308\n"
-         "[memory]\nmode = exponential\ntau_s = 0.01\n")
-@example("[sweep]\nstop = 32\n")
-@example("[chain]\nn = 10000\n")
-@example("[link]\nd_km = 1e300\n[sweep]\nstop = 30\n")
-def test_cli_answers_any_config_with_a_clean_exit(text):
-    """Exit 0, 1 or 2 and no traceback; stderr holds one ``config error``
-    line exactly when the exit is 2, and nothing otherwise."""
+def with_config_examples(test):
+    """``test`` with the configs every CLI fuzz tries first: edge values at
+    the float range, a huge depth and sweeps past the float range of pair
+    counts."""
+    for text in (
+        "[query]\nf = 1.5\n",
+        "[link]\nc_signal_km_s = 1e-310\n",
+        "[link]\nd_km = 1e308\n",
+        "[chain]\nc_es = 1e308\nc_epp = 1e308\n[memory]\nmode = exponential\ntau_s = 0.01\n",
+        "[sweep]\nstop = 32\n",
+        "[chain]\nn = 10000\n",
+        "[link]\nd_km = 1e300\n[sweep]\nstop = 30\n",
+    ):
+        test = example(text)(test)
+    return test
+
+
+def run_commands(text, traced=False):
+    """``(exit code, stderr, tracemalloc peak)`` of each of ``CLI_COMMANDS``
+    run on config ``text``; the peak is 0 unless ``traced``."""
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         for command in CLI_COMMANDS:
             out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main([command, "--config", path, "--out",
-                             os.path.join(tmp, "out.csv")])
-            assert code in (0, 1, 2)
-            if code == 2:
-                assert err.getvalue().startswith("config error: ")
-                assert err.getvalue().count("\n") == 1
-            else:
-                assert err.getvalue() == ""
+            if traced:
+                tracemalloc.start()
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main([command, "--config", path, "--out",
+                                 os.path.join(tmp, "out.csv")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                if traced:
+                    tracemalloc.stop()
+            results.append((code, err.getvalue(), peak))
+    return results
+
+
+@given(config_files())
+@with_config_examples
+def test_cli_answers_any_config_with_a_clean_exit(text):
+    """Exit 0, 1 or 2 and no traceback; stderr holds one ``config error``
+    line exactly when the exit is 2, and nothing otherwise."""
+    for code, err, _ in run_commands(text):
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("config error: ")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+
+
+#: Most bytes a refused run may hold at once, whatever the config asks for.
+REFUSAL_PEAK_BYTES = 1_000_000
+
+
+# Tracing makes each run about three times slower, hence fewer examples.
+@settings(max_examples=25)
+@given(config_files())
+@with_config_examples
+@example("[chain]\nn = 100000000\n")
+@example("[chain]\nn = 1\nepp_rounds_per_level = 100000000\n")
+@example("[sweep]\nstop = 1000000\n")
+def test_cli_refuses_any_config_at_a_bounded_memory_peak(text):
+    """Every run that exits 1 or 2 peaks under ``REFUSAL_PEAK_BYTES``: no
+    refusal first builds the huge pair count, power or depth list that the
+    last three examples ask for."""
+    for code, _, peak in run_commands(text, traced=True):
+        if code != 0:
+            assert peak < REFUSAL_PEAK_BYTES
 
 
 #: Hostile numbers for every numeric parameter of the public API: NaN, the

@@ -335,10 +335,11 @@ def test_curves_csv_round_trip():
     assert [len(c.points) for c in parsed] == [len(c.points) for c in curves]
     with pytest.raises(ValueError):
         curves_from_csv("bad,header,row\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rate-curve CSV row 1: expected 4 CSV columns"):
         curves_from_csv("distance_km,rate,metric,regime\n1,2,3\n")
     header = "distance_km,rate,metric,regime\n50,0.5,resource_normalized,direct\n"
-    for row in ("nan,0.5", "inf,0.5", "-50,0.5", "100,nan", "100,inf", "100,0", "x,0.5"):
+    for row in ("nan,0.5", "inf,0.5", "-50,0.5", "100,nan", "100,inf", "100,0", "x,0.5",
+                "100,abc", "100"):
         with pytest.raises(ValueError, match="rate-curve CSV row 2: "):
             curves_from_csv(header + row + ",resource_normalized,direct\n")
 
