@@ -1,14 +1,19 @@
 """Small dense density-matrix simulator used as ground truth for the maps.
 
 Everything here enumerates measurement branches exhaustively; nothing is
-sampled.  A state is a complex ndarray of shape ``(*batch, 2^n, 2^n)`` with
-qubit 0 as the leftmost tensor factor.  The public functions take a single
-matrix, batch shape ``()``; the private kernels under them take any number
-of leading batch axes and act on every matrix of the stack in one call.  The
-two reference circuits (`es_oracle`, `epp_oracle`) rebuild the swap and
+sampled.  A state is an ndarray of shape ``(*batch, 2^n, 2^n)`` with qubit 0
+as the leftmost tensor factor.  The public functions take a single matrix,
+batch shape ``()``; the private kernels under them take any number of leading
+batch axes and act on every matrix of the stack in one call.  The two
+reference circuits (`es_oracle`, `epp_oracle`) rebuild the swap and
 purification fidelity maps from explicit noisy gates, measurements and
 recovery operations, so the closed forms in :mod:`repeaterlab.werner` can be
 checked against circuit-level truth.
+
+Every gate, Bell vector and Werner state of the circuits is real, so the
+constants here are float64 and the circuits run in real arithmetic end to
+end.  The public primitives still take complex states and operators; numpy's
+type promotion keeps their results complex.
 
 Gates act as ``U rho U^H`` with ``U`` the full ``2^n x 2^n`` embedded
 operator, by two matrix products that broadcast over the batch axes and
@@ -16,23 +21,28 @@ over a stack of operators.  The circuits' gates sit on fixed qubits, so
 each is embedded by :func:`expand_operator` once, at import; the public
 primitives embed their operator per call.  A failed gate is one partial
 trace onto the untouched qubits and one broadcast product with ``I/2^k``
-on the fresh ones.  Readout weights the blocks of the target's row and
-column axes.
+on the fresh ones.  Readout follows one rule, the report matrix ``W[m, v]``
+(eta if the reported m is the value v found, else 1 - eta): it weights the
+blocks of the target's row and column axes.
 
 A circuit is one straight-line pass over a batch.  A readout puts the
 reported outcome on a new axis just before the matrix axes and leaves the
 branch states unnormalized, so a branch's trace is its probability, every
 later step acts on all branches at once, and a branch of probability zero is
-a zero matrix that adds nothing to the result.  Conditional corrections are
-stacks of operators, one per outcome, broadcast against the branch axes.
-:func:`map_deviations` puts the fidelities of one gate set on the batch
-axis, so each gate set costs one pass of each circuit.
+a zero matrix that adds nothing to the result.  Both circuits read out two
+station qubits and then discard them, so they do both in one contraction
+over the measured qubits' diagonal blocks (:func:`_measure_and_discard`);
+:func:`_readout` and :func:`_partial_trace`, which keep the measured qubits,
+are its reference.  Conditional corrections are stacks of operators, one
+per outcome, broadcast against the branch axes.  :func:`map_deviations`
+puts the fidelities of one gate set on the batch axis, so each gate set
+costs one pass of each circuit.
 
 The public primitives check their arguments on every call; the circuits
 take a gate set that checked itself when it was built, and their qubit
-positions are literals.  The Bell vectors, their conjugates and their
-projectors are built once, at import, and are read-only, as are ``I2`` and
-the circuits' embedded gates.
+positions are literals.  The Bell vectors and their projectors are built
+once, at import, and are read-only, as are ``I2`` and the circuits'
+embedded gates.
 """
 
 from __future__ import annotations
@@ -48,12 +58,12 @@ import numpy as np
 
 from .werner import GateNoiseParams, _real, validate_fidelity
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+I2 = np.eye(2)
+X = np.array([[0, 1], [1, 0]], dtype=float)
+Z = np.array([[1, 0], [0, -1]], dtype=float)
+H = np.array([[1, 1], [1, -1]], dtype=float) / math.sqrt(2.0)
 CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
 )
 
 TRACE_TOL = 1e-12
@@ -76,19 +86,18 @@ class BellKind(enum.Enum):
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _BELL_VECTORS = {
-    BellKind.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT_HALF,
-    BellKind.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT_HALF,
-    BellKind.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT_HALF,
-    BellKind.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _SQRT_HALF,
+    BellKind.PHI_PLUS: np.array([1, 0, 0, 1], dtype=float) * _SQRT_HALF,
+    BellKind.PHI_MINUS: np.array([1, 0, 0, -1], dtype=float) * _SQRT_HALF,
+    BellKind.PSI_PLUS: np.array([0, 1, 1, 0], dtype=float) * _SQRT_HALF,
+    BellKind.PSI_MINUS: np.array([0, 1, -1, 0], dtype=float) * _SQRT_HALF,
 }
-_BELL_BRAS = {kind: v.conj() for kind, v in _BELL_VECTORS.items()}
-_BELL_PROJECTORS = {kind: np.outer(v, v.conj()) for kind, v in _BELL_VECTORS.items()}
+_BELL_PROJECTORS = {kind: np.outer(v, v) for kind, v in _BELL_VECTORS.items()}
 #: ``_VALUE_MASK[v, :, u, :]`` is 1 where the measured qubit reads ``u == v``.
 _VALUE_MASK = np.eye(2).reshape(2, 1, 2, 1)
 # The kernels use these without copying, so none of them may change.
 for _constant in (
     I2, _VALUE_MASK,
-    *_BELL_VECTORS.values(), *_BELL_BRAS.values(), *_BELL_PROJECTORS.values(),
+    *_BELL_VECTORS.values(), *_BELL_PROJECTORS.values(),
 ):
     _constant.flags.writeable = False
 del _constant
@@ -164,8 +173,10 @@ def fidelity_to_bell(rho: np.ndarray, kind: BellKind = BellKind.PHI_PLUS) -> flo
 
 
 def _bell_overlap(rho: np.ndarray, kind: BellKind = BellKind.PHI_PLUS) -> np.ndarray:
-    """Real part of <bell| rho |bell> for each two-qubit state of the batch."""
-    return np.real(_BELL_BRAS[kind] @ rho @ _BELL_VECTORS[kind])
+    """Real part of <bell| rho |bell> for each two-qubit state of the batch;
+    the Bell vectors are real, so the bra is the vector itself."""
+    bell = _BELL_VECTORS[kind]
+    return np.real(bell @ rho @ bell)
 
 
 def _check_targets(shape: tuple[int, ...] | None, positions, n: int) -> None:
@@ -194,7 +205,7 @@ def expand_operator(op: np.ndarray, positions: tuple[int, ...], n: int) -> np.nd
     k = len(positions)
     rest = [q for q in range(n) if q not in positions]
     slot_owner = list(positions) + rest
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
+    full = np.kron(op, np.eye(2 ** (n - k)))
     src = [slot_owner.index(q) for q in range(n)]
     tensor = full.reshape([2] * (2 * n))
     tensor = tensor.transpose(src + [s + n for s in src])
@@ -268,7 +279,7 @@ def _depolarizing_plan(n: int, targets: tuple[int, ...]):
     keep = tuple(q for q in range(n) if q not in targets)
     split = tuple(1 if q in targets else 2 for q in range(n)) * 2
     k = n - len(keep)
-    fresh = np.eye(1 << k, dtype=complex) / (1 << k)
+    fresh = np.eye(1 << k) / (1 << k)
     fresh = fresh.reshape(tuple(2 if q in targets else 1 for q in range(n)) * 2)
     return keep, split, _read_only(fresh)
 
@@ -327,14 +338,19 @@ def _around(target: int, n: int) -> tuple[int, int, int]:
     return (2**target, 2, 2 ** (n - target - 1))
 
 
+def _report_matrix(eta: float) -> np.ndarray:
+    """The readout rule: ``W[m, v]`` is the probability that a qubit found in
+    ``v`` is reported as ``m``, eta if they agree and 1 - eta otherwise."""
+    return np.array([[eta, 1.0 - eta], [1.0 - eta, eta]])
+
+
 def _readout_weights(eta: float) -> np.ndarray:
     """Weight of each (row, column) value pair of a measured qubit, per
-    reported value: eta on the reported block, 1 - eta on the other, 0 on
-    the coherences between.  Axes: reported value, then a row and a column
-    index split as by :func:`_around`."""
-    return np.array(
-        [[[eta, 0.0], [0.0, 1.0 - eta]], [[1.0 - eta, 0.0], [0.0, eta]]]
-    ).reshape(2, 1, 2, 1, 1, 2, 1)
+    reported value: ``W[m, v]`` of :func:`_report_matrix` on the block of
+    value v, 0 on the coherences between.  Axes: reported value, then a row
+    and a column index split as by :func:`_around`."""
+    blocks = _report_matrix(eta)[:, :, None] * np.eye(2)
+    return blocks.reshape(2, 1, 2, 1, 1, 2, 1)
 
 
 def _readout(rho: np.ndarray, target: int, weights: np.ndarray) -> np.ndarray:
@@ -355,7 +371,8 @@ def _readout(rho: np.ndarray, target: int, weights: np.ndarray) -> np.ndarray:
 
 def _outcome_probabilities(rho: np.ndarray, target: int, eta: float) -> np.ndarray:
     """Probability of each reported value of :func:`_readout`, shape
-    ``batch + (2,)``, from the diagonal of each matrix of ``rho``."""
+    ``batch + (2,)``: the probability of each value found, from the diagonal
+    of each matrix of ``rho``, through :func:`_report_matrix`."""
     n = _qubits(rho)
     batch = rho.shape[:-2]
     # Row v of ``masked`` is the diagonal with the other value's entries
@@ -363,8 +380,43 @@ def _outcome_probabilities(rho: np.ndarray, target: int, eta: float) -> np.ndarr
     # in the order np.trace uses.
     diagonal = rho.diagonal(axis1=-2, axis2=-1).real
     masked = diagonal.reshape(batch + (1,) + _around(target, n)) * _VALUE_MASK
-    weights = masked.reshape(batch + (2, 1 << n)).sum(axis=-1)
-    return eta * weights + (1.0 - eta) * weights[..., ::-1]
+    found = masked.reshape(batch + (2, 1 << n)).sum(axis=-1)
+    return (found[..., None, :] * _report_matrix(eta)).sum(axis=-1)
+
+
+def _measure_and_discard(
+    rho: np.ndarray, measured: tuple[int, int], weights: np.ndarray
+) -> np.ndarray:
+    """Read out the qubits ``measured`` and trace them out, for each matrix
+    of ``rho``, in one contraction.
+
+    ``weights[*reports, u, v]`` weighs the diagonal block in which
+    ``measured[0]`` reads u and ``measured[1]`` reads v; the trace never
+    reads the coherences between blocks.  Returns the unnormalized states of
+    the other qubits, shape ``batch + reports + (dim, dim)``.  With weights
+    built from :func:`_report_matrix`, a state's trace is the probability of
+    its reports, and it equals :func:`_readout` of both qubits followed by
+    :func:`_partial_trace` onto the rest.
+    """
+    n = _qubits(rho)
+    batch = rho.shape[:-2]
+    reports = weights.shape[:-2]
+    subscripts = _discard_subscripts(n, measured, len(reports))
+    states = np.einsum(subscripts, rho.reshape(batch + (2,) * (2 * n)), weights)
+    dim = 1 << (n - len(measured))
+    return states.reshape(batch + reports + (dim, dim))
+
+
+@functools.lru_cache(maxsize=None)
+def _discard_subscripts(n: int, measured: tuple[int, int], reports: int) -> str:
+    """Einsum subscripts of :func:`_measure_and_discard`: the partial trace
+    over ``measured``, with a weights operand whose ``reports`` leading axes
+    come out just before the matrix axes."""
+    keep = tuple(q for q in range(n) if q not in measured)
+    state, out = _trace_subscripts(n, keep).split("->...")
+    tags = "zyx"[:reports]
+    values = "".join(chr(ord("a") + q) for q in measured)
+    return f"{state},{tags}{values}->...{tags}{out}"
 
 
 def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementBranch]:
@@ -408,15 +460,16 @@ def _swap_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np.n
     and the probabilities of the reported bits ``(m1, m2)``, shape
     ``batch + (2, 2)``.
     """
-    weights = _readout_weights(g.eta)
+    report = _report_matrix(g.eta)
     rho = _noisy(rho, _CNOT_12, (1, 2), g.p2)
     rho = _conjugate(rho, _H_1)
-    rho = _readout(rho, 1, weights)
-    joint = _outcome_probabilities(rho, 2, g.eta)
-    rho = _readout(rho, 2, weights)
-    # Qubits 1 and 2 are done with: the corrections act on qubit 3, which is
-    # qubit 1 of the remaining pair (0, 3).
-    pair = _partial_trace(rho, (0, 3))
+    # Qubits 1 and 2 are read out and done with: one state of the pair
+    # (0, 3) per reported (m1, m2), weighted W[m1, u] * W[m2, v].
+    pair = _measure_and_discard(
+        rho, (1, 2), report[:, None, :, None] * report[None, :, None, :]
+    )
+    joint = np.trace(pair, axis1=-2, axis2=-1).real
+    # The corrections act on qubit 3, which is qubit 1 of the pair.
     pair = _noisy(pair, _Z_CORRECTIONS, (1,), g.p1)
     pair = _noisy(pair, _X_CORRECTIONS, (1,), g.p1)
     return _bell_overlap(pair).sum(axis=(-2, -1)), joint
@@ -428,19 +481,16 @@ def _purify_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np
     Returns the kept pair's fidelity given a pass and the pass probability,
     each of shape ``batch``.
     """
-    weights = _readout_weights(g.eta)
+    report = _report_matrix(g.eta)
     rho = _noisy(rho, _CNOT_02, (0, 2), g.p2)
     rho = _noisy(rho, _CNOT_13, (1, 3), g.p2)
-    rho = _readout(rho, 2, weights)
-    joint = _outcome_probabilities(rho, 3, g.eta)
-    rho = _readout(rho, 3, weights)
-    # The pair survives the branches (0, 0) and (1, 1).
-    agree = rho[..., (0, 1), (0, 1), :, :]
-    success = joint[..., 0, 0] + joint[..., 1, 1]
+    # The pair (0, 1) survives when the two reports agree: qubits 2 and 3
+    # found (u, v) pass with weight sum_m W[m, u] * W[m, v].
+    kept = _measure_and_discard(rho, (2, 3), report.T @ report)
+    success = np.trace(kept, axis1=-2, axis2=-1).real
     if (success <= 0.0).any():
         raise ValueError("coincidence probability vanished; inputs are unphysical")
-    kept = _bell_overlap(_partial_trace(agree, (0, 1))).sum(axis=-1)
-    return kept / success, success
+    return _bell_overlap(kept) / success, success
 
 
 def es_oracle(f_a: float, f_b: float, g: GateNoiseParams) -> EsResult:

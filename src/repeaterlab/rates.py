@@ -290,8 +290,9 @@ def curves_to_csv(curves: Sequence[RateCurve]) -> str:
 def curves_from_csv(text: str) -> list[RateCurve]:
     """Inverse of :func:`curves_to_csv`; curves are contiguous row blocks.
 
-    A row that is not a valid :class:`RatePoint` raises ``ValueError`` naming
-    the row.
+    A row that is not a valid :class:`RatePoint`, or whose distance does not
+    exceed the one before it in its block, raises ``ValueError`` naming the
+    row.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != "distance_km,rate,metric,regime":
@@ -309,11 +310,16 @@ def curves_from_csv(text: str) -> list[RateCurve]:
         except ValueError as exc:
             raise ValueError(f"rate-curve CSV row {row}: {exc}") from None
         key = (regime, metric)
-        if block_key is not None and key != block_key:
-            curves.append(RateCurve(block_key[0], tuple(block)))
-            block = []
-        block_key = key
+        if key != block_key:
+            if block:
+                curves.append(RateCurve(block_key[0], tuple(block)))
+            block, block_key = [], key
+        elif not block[-1].distance_km < point.distance_km:
+            raise ValueError(
+                f"rate-curve CSV row {row}: distance {distance} of regime {regime!r} "
+                "does not exceed the row before it; curve distances must increase strictly"
+            )
         block.append(point)
-    if block_key is not None:
+    if block:
         curves.append(RateCurve(block_key[0], tuple(block)))
     return curves

@@ -246,14 +246,15 @@ def test_oracle_check_passes(capsys):
 
 
 def test_oracle_check_stdout_is_frozen(capsys):
-    # The exact digits the oracle printed before it moved to tensor
-    # contraction; a change here means the circuits' rounding moved.
+    # The exact digits of the real-valued circuits that read out and discard
+    # the station qubits in one contraction; a change here means the
+    # circuits' rounding moved.
     code, out, _ = run_cli(capsys, "oracle-check")
     assert code == 0
     assert out == (
         "swap_max_deviation=8.881784197e-16\n"
-        "purify_max_deviation=4.4408920985e-16\n"
-        "purify_success_max_deviation=7.77156117238e-16\n"
+        "purify_max_deviation=3.33066907388e-16\n"
+        "purify_success_max_deviation=6.66133814775e-16\n"
     )
 
 

@@ -465,6 +465,7 @@ def test_intermediate_oracle_states_are_density_matrices():
     ``_purify_circuit`` run them, checking every normalized branch state."""
     g = GateNoiseParams(p1=0.95, p2=0.93, eta=0.97)
     pairs = dmsim._werner_states([0.3, 0.8, 1.0])
+    report = dmsim._report_matrix(g.eta)
     checked = []
 
     def check(states):
@@ -478,27 +479,41 @@ def test_intermediate_oracle_states_are_density_matrices():
     rho = check(dmsim._pair_product(pairs, pairs))
     rho = check(dmsim._noisy(rho, dmsim._CNOT_12, (1, 2), g.p2))
     rho = check(dmsim._conjugate(rho, dmsim._H_1))
-    weights = dmsim._readout_weights(g.eta)
-    rho = check(dmsim._readout(rho, 1, weights))
-    joint = dmsim._outcome_probabilities(rho, 2, g.eta)
-    rho = dmsim._readout(rho, 2, weights)
-    pair = check(dmsim._partial_trace(check(rho), (0, 3)))
+    weights = report[:, None, :, None] * report[None, :, None, :]
+    pair = check(dmsim._measure_and_discard(rho, (1, 2), weights))
+    joint = np.trace(pair, axis1=-2, axis2=-1).real
     pair = check(dmsim._noisy(pair, dmsim._Z_CORRECTIONS, (1,), g.p1))
     pair = check(dmsim._noisy(pair, dmsim._X_CORRECTIONS, (1,), g.p1))
     assert pair.shape == (3, 2, 2, 4, 4)
     assert np.allclose(np.trace(pair, axis1=-2, axis2=-1), joint, rtol=0, atol=1e-15)
+    assert np.allclose(joint.sum(axis=(-2, -1)), 1.0, rtol=0, atol=1e-15)
 
     # Purification, as in _purify_circuit.
     rho = check(dmsim._pair_product(pairs, pairs))
     rho = check(dmsim._noisy(rho, dmsim._CNOT_02, (0, 2), g.p2))
     rho = check(dmsim._noisy(rho, dmsim._CNOT_13, (1, 3), g.p2))
-    rho = check(dmsim._readout(rho, 2, weights))
-    rho = dmsim._readout(rho, 3, weights)
-    kept = check(dmsim._partial_trace(check(rho)[..., (0, 1), (0, 1), :, :], (0, 1)))
-    assert kept.shape == (3, 2, 4, 4)
-    # The unbatched walk through the public primitives checked 32 states,
-    # the batched einsum walk 96.
-    assert len(checked) >= 96
+    kept = check(dmsim._measure_and_discard(rho, (2, 3), report.T @ report))
+    assert kept.shape == (3, 4, 4)
+    # Swap: 3 four-qubit states after each of three steps, then 12 branch
+    # pairs after each of three; purification: 3 states after each of four.
+    assert len(checked) == 3 * 3 + 12 * 3 + 3 * 4
+    assert {state.dtype for state in checked} == {np.dtype(np.float64)}
+
+
+def test_the_circuits_run_in_real_arithmetic():
+    for op in (dmsim._CNOT_12, dmsim._CNOT_02, dmsim._CNOT_13, dmsim._H_1,
+               dmsim._Z_CORRECTIONS, dmsim._X_CORRECTIONS):
+        assert op.dtype == np.float64
+    g = GateNoiseParams(p1=0.95, p2=0.93, eta=0.97)
+    pairs = dmsim._werner_states([0.3, 0.8])
+    start = dmsim._pair_product(pairs, pairs)
+    outputs = (*dmsim._swap_circuit(start, g), *dmsim._purify_circuit(start, g))
+    assert [x.dtype for x in outputs] == [np.dtype(np.float64)] * 4
+    # The public primitives still take complex input and keep it complex.
+    rho = werner_state(0.9).astype(complex)
+    assert apply_one_qubit_noisy(rho, 0, 1j * X @ Z, 0.9).dtype == np.complex128
+    assert partial_trace(rho, (0,)).dtype == np.complex128
+    assert measure_noisy(rho, 1, 0.9)[0].state.dtype == np.complex128
 
 
 def test_a_zero_probability_branch_is_masked_not_skipped(monkeypatch):

@@ -33,6 +33,7 @@ from repeaterlab import (
     epp_oracle,
     es_oracle,
     expand_operator,
+    expected_attempts,
     link_success_probability,
     map_deviations,
     measure_noisy,
@@ -40,6 +41,7 @@ from repeaterlab import (
     purification_fixed_points,
     purify_noisy,
     purify_success_probability,
+    resource_count,
     round_time,
     simulate_chain,
     swap_chain_fidelity,
@@ -51,7 +53,7 @@ from repeaterlab import (
     werner_state,
 )
 from repeaterlab.cli import _SECTION_KEYS, main
-from repeaterlab import dmsim
+from repeaterlab import chain, dmsim
 from repeaterlab.dmsim import CNOT, ORACLE_TOLERANCE, H, X, Z, num_qubits
 from test_werner import ABOVE_FLOOR_GATES, BASELINE
 
@@ -157,6 +159,46 @@ def test_accepted_chains_round_trip_through_csv(g, mem, f0, d_km, l, n, m, k,
     kept = [c for c in curves if c.points]
     assert [c.regime for c in parsed_curves] == [c.regime for c in kept]
     assert [len(c.points) for c in parsed_curves] == [len(c.points) for c in kept]
+
+
+@given(
+    g=gates,
+    mem=memories,
+    f0=fidelity,
+    d_km=st.floats(0.1, 100.0),
+    l=st.integers(2, 4),
+    m=st.integers(2, 4),
+    n=st.integers(1, 4),
+    k=st.integers(1, 3),
+)
+@example(g=GateNoiseParams(), mem=MemoryModel.none(), f0=0.99, d_km=10.0,
+         l=3, m=2, n=3, k=2)
+def test_pair_and_attempt_counts_tell_l_from_m(g, mem, f0, d_km, l, m, n, k):
+    """With l != m and purification on, a swap's factor l and a round's
+    factor m land in different places of every count."""
+    assume(l != m)
+    try:
+        link = LinkModel(d_km=d_km, f0=f0)
+    except ValueError:
+        return  # not an accepted chain
+    cfg = ChainConfig(l=l, n=n, link=link, m=m, epp_rounds_per_level=k)
+    walk = list(chain._walk(cfg, g, mem))
+    # Each level is a swap, a memory step and k purification rounds.
+    for x in range(n + 1):
+        end = walk[x * (k + 2)]
+        assert end.level == x
+        assert end.pairs_consumed == l**x * m ** (k * x)
+    trace = simulate_chain(cfg, g, mem)
+    if not trace.degenerate:
+        assert trace.steps[-1].pairs_consumed == resource_count(cfg)
+    # Each round passes with the probability of the fidelity entering it.
+    passes = math.prod(
+        purify_success_probability(before.fidelity, g)
+        for before, step in itertools.pairwise(walk)
+        if step.stage == "after_epp"
+    )
+    attempts = l**n * m ** (k * n) / link_success_probability(d_km, link) / passes
+    assert math.isclose(expected_attempts(cfg, g, mem), attempts, rel_tol=1e-12)
 
 
 #: Distance kept from the fixed points when checking where purification
@@ -403,6 +445,41 @@ def test_kernels_on_a_stack_equal_the_kernels_slice_by_slice(case):
         assert [x.shape for x in got] == [x.shape for x in want], name
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= BATCH_TOL, name
+
+
+#: The station qubits each circuit reads out and discards, and the pair it
+#: keeps.
+CIRCUIT_READOUTS = {"swap": ((1, 2), (0, 3)), "purify": ((2, 3), (0, 1))}
+
+
+@given(
+    st.sampled_from(sorted(CIRCUIT_READOUTS)),
+    st.lists(st.integers(1, 3), max_size=2),
+    seeds,
+    st.floats(0.5, 1.0, exclude_min=True),
+)
+def test_fused_readout_equals_readout_then_partial_trace(circuit, batch, seed, eta):
+    """One contraction over the measured qubits' diagonal blocks equals two
+    readouts that keep the qubits and a partial trace that drops them; for
+    purification, summed over the branches whose reports agree."""
+    measured, keep = CIRCUIT_READOUTS[circuit]
+    rng = np.random.default_rng(seed)
+    batch = tuple(batch)
+    states = np.stack([random_state(rng, 4) for _ in range(math.prod(batch))])
+    states = states.reshape(batch + (16, 16))
+    weights = dmsim._readout_weights(eta)
+    branches = dmsim._readout(dmsim._readout(states, measured[0], weights), measured[1], weights)
+    want = dmsim._partial_trace(branches, keep)
+    report = dmsim._report_matrix(eta)
+    if circuit == "swap":
+        got = dmsim._measure_and_discard(
+            states, measured, report[:, None, :, None] * report[None, :, None, :]
+        )
+    else:
+        want = want[..., (0, 1), (0, 1), :, :].sum(axis=-3)
+        got = dmsim._measure_and_discard(states, measured, report.T @ report)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= BATCH_TOL
 
 
 #: Values a key is tried with besides its in-range ones: the edges of the

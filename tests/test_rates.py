@@ -342,6 +342,13 @@ def test_curves_csv_round_trip():
                 "100,abc", "100"):
         with pytest.raises(ValueError, match="rate-curve CSV row 2: "):
             curves_from_csv(header + row + ",resource_normalized,direct\n")
+    # A block whose distances do not increase names the row and the regime.
+    for distance in ("40", "50"):
+        with pytest.raises(ValueError, match=f"^rate-curve CSV row 2: distance {distance} "
+                                             "of regime 'direct' does not exceed"):
+            curves_from_csv(header + distance + ",0.5,resource_normalized,direct\n")
+    # A new block may start at any distance.
+    assert len(curves_from_csv(header + "40,0.5,time_normalized,direct\n")) == 2
 
 
 @pytest.mark.parametrize(
