@@ -31,12 +31,12 @@ branch states unnormalized, so a branch's trace is its probability, every
 later step acts on all branches at once, and a branch of probability zero is
 a zero matrix that adds nothing to the result.  Both circuits read out two
 station qubits and then discard them, so they do both in one contraction
-over the measured qubits' diagonal blocks (:func:`_measure_and_discard`);
-:func:`_readout` and :func:`_partial_trace`, which keep the measured qubits,
-are its reference.  Conditional corrections are stacks of operators, one
-per outcome, broadcast against the branch axes.  :func:`map_deviations`
-puts the fidelities of one gate set on the batch axis, so each gate set
-costs one pass of each circuit.
+over the measured qubits' diagonal blocks (:func:`_measure_and_discard`).
+Its reference is two :func:`_readout` calls, which keep the measured
+qubits, and a :func:`_partial_trace` that drops them.  Conditional
+corrections are stacks of operators, one per outcome, broadcast against the
+branch axes.  :func:`map_deviations` puts the fidelities of one gate set on
+the batch axis, so each gate set costs one pass of each circuit.
 
 The public primitives check their arguments on every call; the circuits
 take a gate set that checked itself when it was built, and their qubit
