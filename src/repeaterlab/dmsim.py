@@ -22,8 +22,9 @@ each is embedded by :func:`expand_operator` once, at import; the public
 primitives embed their operator per call.  A failed gate is one partial
 trace onto the untouched qubits and one broadcast product with ``I/2^k``
 on the fresh ones.  Readout follows one rule, the report matrix ``W[m, v]``
-(eta if the reported m is the value v found, else 1 - eta): it weights the
-blocks of the target's row and column axes.
+(eta if the reported m is the value v found, else 1 - eta): the branch of
+report m is ``sum_v W[m, v] P_v rho P_v`` (:func:`measure_noisy`), ``P_v``
+the projector ``|v><v|`` on the measured qubit; its trace is its probability.
 
 A circuit is one straight-line pass over a batch.  A readout puts the
 reported outcome on a new axis just before the matrix axes and leaves the
@@ -32,17 +33,18 @@ later step acts on all branches at once, and a branch of probability zero is
 a zero matrix that adds nothing to the result.  Both circuits read out two
 station qubits and then discard them, so they do both in one contraction
 over the measured qubits' diagonal blocks (:func:`_measure_and_discard`).
-Its reference is two :func:`_readout` calls, which keep the measured
-qubits, and a :func:`_partial_trace` that drops them.  Conditional
-corrections are stacks of operators, one per outcome, broadcast against the
-branch axes.  :func:`map_deviations` puts the fidelities of one gate set on
-the batch axis, so each gate set costs one pass of each circuit.
+Its reference is the projector readout of both qubits, which keeps them,
+and a :func:`_partial_trace` that drops them.  The swap's recovery is one
+stack of operators, one per reported pair, broadcast against the branch
+axes and applied as one noisy channel.  :func:`map_deviations` puts the
+fidelities of one gate set on the batch axis, so each gate set costs one
+pass of each circuit.
 
 The public primitives check their arguments on every call; the circuits
 take a gate set that checked itself when it was built, and their qubit
 positions are literals.  The Bell vectors and their projectors are built
-once, at import, and are read-only, as are ``I2`` and the circuits'
-embedded gates.
+once, at import, and are read-only, as are ``I2``, the value projectors and
+the circuits' embedded gates.
 """
 
 from __future__ import annotations
@@ -92,11 +94,11 @@ _BELL_VECTORS = {
     BellKind.PSI_MINUS: np.array([0, 1, -1, 0], dtype=float) * _SQRT_HALF,
 }
 _BELL_PROJECTORS = {kind: np.outer(v, v) for kind, v in _BELL_VECTORS.items()}
-#: ``_VALUE_MASK[v, :, u, :]`` is 1 where the measured qubit reads ``u == v``.
-_VALUE_MASK = np.eye(2).reshape(2, 1, 2, 1)
+#: ``_VALUE_PROJECTORS[v]`` is ``|v><v|``, the projection of a qubit found in v.
+_VALUE_PROJECTORS = np.stack([np.diag(v) for v in np.eye(2)])
 # The kernels use these without copying, so none of them may change.
 for _constant in (
-    I2, _VALUE_MASK,
+    I2, _VALUE_PROJECTORS,
     *_BELL_VECTORS.values(), *_BELL_PROJECTORS.values(),
 ):
     _constant.flags.writeable = False
@@ -188,9 +190,11 @@ def _check_targets(shape: tuple[int, ...] | None, positions, n: int) -> None:
     if shape is not None and shape != (2**k, 2**k):
         raise ValueError(f"operator shape {shape} does not match {k} qubits")
     # Negative indices are rejected too: an einsum subscript or slice would
-    # silently read ``-1`` as the last qubit.  Only ints reach the set.
+    # silently read ``-1`` as the last qubit.  A bool is no qubit index, as it
+    # is no number anywhere in the package.  Only ints reach the set.
     if not all(
-        isinstance(q, numbers.Integral) and 0 <= q < n for q in positions
+        isinstance(q, numbers.Integral) and not isinstance(q, bool) and 0 <= q < n
+        for q in positions
     ) or len(set(positions)) != k:
         raise ValueError(f"positions {positions} invalid for {n} qubits")
 
@@ -219,16 +223,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 #: The circuits' gates, embedded on their qubits once.  The swap's recovery
-#: acts on qubit 1 of the remaining pair (0, 3), indexed by the reported
-#: bits: Z^m1 stacked on the m1 axis (the one before m2), X^m2 on the m2 axis.
+#: ``_CORRECTIONS[m1, m2]`` is X^m2 Z^m1 on qubit 1 of the remaining pair
+#: (0, 3), indexed by the reported bits.
 _CNOT_12 = _read_only(expand_operator(CNOT, (1, 2), 4))
 _CNOT_02 = _read_only(expand_operator(CNOT, (0, 2), 4))
 _CNOT_13 = _read_only(expand_operator(CNOT, (1, 3), 4))
 _H_1 = _read_only(expand_operator(H, (1,), 4))
-_Z_CORRECTIONS = _read_only(
-    np.stack([expand_operator(P, (1,), 2) for P in (I2, Z)])[:, None]
+_CORRECTIONS = _read_only(
+    np.array([[expand_operator(x @ z, (1,), 2) for x in (I2, X)] for z in (I2, Z)])
 )
-_X_CORRECTIONS = _read_only(np.stack([expand_operator(P, (1,), 2) for P in (I2, X)]))
 
 
 def _qubits(rho: np.ndarray) -> int:
@@ -332,56 +335,10 @@ class MeasurementBranch(NamedTuple):
     state: np.ndarray
 
 
-def _around(target: int, n: int) -> tuple[int, int, int]:
-    """A matrix index of ``n`` qubits split around ``target``'s axis: the
-    projection onto |v> keeps the block where the middle axis reads v."""
-    return (2**target, 2, 2 ** (n - target - 1))
-
-
 def _report_matrix(eta: float) -> np.ndarray:
     """The readout rule: ``W[m, v]`` is the probability that a qubit found in
     ``v`` is reported as ``m``, eta if they agree and 1 - eta otherwise."""
     return np.array([[eta, 1.0 - eta], [1.0 - eta, eta]])
-
-
-def _readout_weights(eta: float) -> np.ndarray:
-    """Weight of each (row, column) value pair of a measured qubit, per
-    reported value: ``W[m, v]`` of :func:`_report_matrix` on the block of
-    value v, 0 on the coherences between.  Axes: reported value, then a row
-    and a column index split as by :func:`_around`."""
-    blocks = _report_matrix(eta)[:, :, None] * np.eye(2)
-    return blocks.reshape(2, 1, 2, 1, 1, 2, 1)
-
-
-def _readout(rho: np.ndarray, target: int, weights: np.ndarray) -> np.ndarray:
-    """Computational-basis readout of ``target`` with the
-    :func:`_readout_weights` of a misreporting probability ``1 - eta``, for
-    each matrix of ``rho``.
-
-    Returns the unnormalized branch states, the reported value on a new axis
-    just before the matrix axes.  The qubit is kept, collapsed.  Each branch
-    has the trace of its probability (see :func:`_outcome_probabilities`),
-    and one of probability zero is a zero matrix.
-    """
-    batch = rho.shape[:-2]
-    split = _around(target, _qubits(rho))
-    states = rho.reshape(batch + (1,) + split + split) * weights
-    return states.reshape(batch + (2,) + rho.shape[-2:])
-
-
-def _outcome_probabilities(rho: np.ndarray, target: int, eta: float) -> np.ndarray:
-    """Probability of each reported value of :func:`_readout`, shape
-    ``batch + (2,)``: the probability of each value found, from the diagonal
-    of each matrix of ``rho``, through :func:`_report_matrix`."""
-    n = _qubits(rho)
-    batch = rho.shape[:-2]
-    # Row v of ``masked`` is the diagonal with the other value's entries
-    # zeroed rather than sliced away, so each weight sums the whole diagonal
-    # in the order np.trace uses.
-    diagonal = rho.diagonal(axis1=-2, axis2=-1).real
-    masked = diagonal.reshape(batch + (1,) + _around(target, n)) * _VALUE_MASK
-    found = masked.reshape(batch + (2, 1 << n)).sum(axis=-1)
-    return (found[..., None, :] * _report_matrix(eta)).sum(axis=-1)
 
 
 def _measure_and_discard(
@@ -395,8 +352,9 @@ def _measure_and_discard(
     reads the coherences between blocks.  Returns the unnormalized states of
     the other qubits, shape ``batch + reports + (dim, dim)``.  With weights
     built from :func:`_report_matrix`, a state's trace is the probability of
-    its reports, and it equals :func:`_readout` of both qubits followed by
-    :func:`_partial_trace` onto the rest.
+    its reports, and it equals the projector readout of :func:`measure_noisy`
+    on both qubits, weighted by W, followed by :func:`_partial_trace` onto
+    the rest.
     """
     n = _qubits(rho)
     batch = rho.shape[:-2]
@@ -426,12 +384,15 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     correct with probability ``eta``.  Returns one branch per reported
     outcome with its total probability and normalized post state (the
     measured qubit is kept, collapsed).  Zero-probability branches are
-    omitted.
+    omitted.  A NaN or infinite entry in ``rho`` raises ``ValueError``.
     """
     _real("eta", eta, 0.5, 1.0, open_low=True)
-    _check_targets(None, (target,), num_qubits(rho))
-    probabilities = _outcome_probabilities(rho, target, eta)
-    states = _readout(rho, target, _readout_weights(eta))
+    n = num_qubits(rho)
+    projectors = np.stack([expand_operator(P, (target,), n) for P in _VALUE_PROJECTORS])
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has a NaN or infinite entry")
+    states = np.tensordot(_report_matrix(eta), _conjugate(rho, projectors), axes=1)
+    probabilities = np.trace(states, axis1=-2, axis2=-1).real
     return [
         MeasurementBranch(reported, prob, states[reported] / prob)
         for reported, prob in enumerate(probabilities.tolist())
@@ -469,9 +430,8 @@ def _swap_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np.n
         rho, (1, 2), report[:, None, :, None] * report[None, :, None, :]
     )
     joint = np.trace(pair, axis1=-2, axis2=-1).real
-    # The corrections act on qubit 3, which is qubit 1 of the pair.
-    pair = _noisy(pair, _Z_CORRECTIONS, (1,), g.p1)
-    pair = _noisy(pair, _X_CORRECTIONS, (1,), g.p1)
+    # The recovery acts on qubit 3, which is qubit 1 of the pair.
+    pair = _noisy(pair, _CORRECTIONS, (1,), g.p1 * g.p1)
     return _bell_overlap(pair).sum(axis=(-2, -1)), joint
 
 
@@ -506,7 +466,10 @@ def es_oracle(f_a: float, f_b: float, g: GateNoiseParams) -> EsResult:
     the two conditional recovery operations carry the one-qubit depolarizing
     noise, applied as channels on every branch.  This is the convention
     under which the circuit reproduces the closed-form
-    :func:`repeaterlab.werner.swap_chain_fidelity` exactly.
+    :func:`repeaterlab.werner.swap_chain_fidelity` exactly.  The two
+    channels run as one: X^m2 Z^m1 with probability ``p1**2``, qubit 3
+    depolarized otherwise.  They are equal because a depolarization absorbs
+    a Pauli applied before it, and depolarizing twice is depolarizing once.
 
     Returns the probability-weighted fidelity of the surviving pair (0, 3)
     together with the probabilities of the reported pairs that can occur.

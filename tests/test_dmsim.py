@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -338,8 +339,8 @@ def test_numpy_integer_targets_act_like_python_ints():
 
 
 @pytest.mark.parametrize(
-    "target", [[1], np.array(1), None, "1", (1,), 1 + 0j, np.float64(1.0)],
-    ids=["list", "array", "none", "str", "tuple", "complex", "float64"],
+    "target", [[1], np.array(1), None, "1", (1,), 1 + 0j, np.float64(1.0), True, False],
+    ids=["list", "array", "none", "str", "tuple", "complex", "float64", "true", "false"],
 )
 def test_unhashable_or_odd_targets_raise_value_error(target):
     rho = random_mixed_state(random.Random(2), 3)
@@ -374,25 +375,21 @@ def test_identity_correction_equals_its_contraction(p):
 
 
 def _measure_noisy_reference(rho, target, eta):
-    """measure_noisy's arithmetic written out as a loop per outcome."""
+    """measure_noisy's arithmetic written out as a loop per outcome: the
+    target's diagonal blocks weighted by the report, the coherences between
+    them masked to zero, and the probability read off the trace."""
     n = int(round(math.log2(rho.shape[0])))
     split = (2**target, 2, 2 ** (n - target - 1))
     tensor = rho.reshape(split + split)
-    diagonal = np.real(np.diagonal(rho)).reshape(split)
-    weights = []
-    for v in (0, 1):
-        masked = diagonal.copy()
-        masked[:, 1 - v, :] = 0.0
-        weights.append(float(masked.sum()))
     branches = []
     for reported in (0, 1):
-        prob = eta * weights[reported] + (1.0 - eta) * weights[1 - reported]
-        if prob <= 0.0:
-            continue
         keep = [1.0 - eta, 1.0 - eta]
         keep[reported] = eta
-        state = tensor * np.diag(keep).reshape(1, 2, 1, 1, 2, 1)
-        branches.append((reported, prob, state.reshape(rho.shape) / prob))
+        state = (tensor * np.diag(keep).reshape(1, 2, 1, 1, 2, 1)).reshape(rho.shape)
+        prob = float(np.trace(state).real)
+        if prob <= 0.0:
+            continue
+        branches.append((reported, prob, state / prob))
     return branches
 
 
@@ -410,6 +407,17 @@ def test_measure_noisy_matches_its_loop_reference_exactly():
                     ]
                     for b, (_, _, state) in zip(got, want):
                         assert np.array_equal(b.state, state)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)], ids=["diagonal", "coherence"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_measure_noisy_refuses_a_non_finite_state(bad, entry):
+    rho = werner_state(0.9)
+    rho[entry] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix has a NaN or infinite entry"):
+            measure_noisy(rho, 0, 0.9)
 
 
 def test_gate_application_does_not_assume_a_hermitian_input():
@@ -482,8 +490,7 @@ def test_intermediate_oracle_states_are_density_matrices():
     weights = report[:, None, :, None] * report[None, :, None, :]
     pair = check(dmsim._measure_and_discard(rho, (1, 2), weights))
     joint = np.trace(pair, axis1=-2, axis2=-1).real
-    pair = check(dmsim._noisy(pair, dmsim._Z_CORRECTIONS, (1,), g.p1))
-    pair = check(dmsim._noisy(pair, dmsim._X_CORRECTIONS, (1,), g.p1))
+    pair = check(dmsim._noisy(pair, dmsim._CORRECTIONS, (1,), g.p1 * g.p1))
     assert pair.shape == (3, 2, 2, 4, 4)
     assert np.allclose(np.trace(pair, axis1=-2, axis2=-1), joint, rtol=0, atol=1e-15)
     assert np.allclose(joint.sum(axis=(-2, -1)), 1.0, rtol=0, atol=1e-15)
@@ -495,14 +502,14 @@ def test_intermediate_oracle_states_are_density_matrices():
     kept = check(dmsim._measure_and_discard(rho, (2, 3), report.T @ report))
     assert kept.shape == (3, 4, 4)
     # Swap: 3 four-qubit states after each of three steps, then 12 branch
-    # pairs after each of three; purification: 3 states after each of four.
-    assert len(checked) == 3 * 3 + 12 * 3 + 3 * 4
+    # pairs after each of two; purification: 3 states after each of four.
+    assert len(checked) == 3 * 3 + 12 * 2 + 3 * 4
     assert {state.dtype for state in checked} == {np.dtype(np.float64)}
 
 
 def test_the_circuits_run_in_real_arithmetic():
     for op in (dmsim._CNOT_12, dmsim._CNOT_02, dmsim._CNOT_13, dmsim._H_1,
-               dmsim._Z_CORRECTIONS, dmsim._X_CORRECTIONS):
+               dmsim._CORRECTIONS):
         assert op.dtype == np.float64
     g = GateNoiseParams(p1=0.95, p2=0.93, eta=0.97)
     pairs = dmsim._werner_states([0.3, 0.8])
@@ -518,12 +525,15 @@ def test_the_circuits_run_in_real_arithmetic():
 
 def test_a_zero_probability_branch_is_masked_not_skipped(monkeypatch):
     # A basis state read out with eta = 1: qubit 1 of |00> never reads 1.
+    # Projected onto qubit 1 reading 1, it is the zero matrix, so that
+    # report's branch is masked to zero and measure_noisy leaves it out.
     basis = np.zeros((4, 4), dtype=complex)
     basis[0, 0] = 1.0
-    assert dmsim._outcome_probabilities(basis, 1, 1.0).tolist() == [1.0, 0.0]
-    states = dmsim._readout(basis, 1, dmsim._readout_weights(1.0))
-    assert states.shape == (2, 4, 4) and not states[1].any()
-    assert [b.outcome for b in measure_noisy(basis, 1, 1.0)] == [0]
+    reads_one = np.diag([0.0, 1.0, 0.0, 1.0])
+    assert not (reads_one @ basis @ reads_one).any()
+    branches = measure_noisy(basis, 1, 1.0)
+    assert [(b.outcome, b.probability) for b in branches] == [(0, 1.0)]
+    assert np.array_equal(branches[0].state, basis)
     # In the swap circuit on |0000>, qubit 2 always reads 0: the branches
     # with m2 = 1 carry zero matrices through the corrections, add nothing
     # to the fidelity, and are left out of the outcome probabilities.

@@ -385,7 +385,7 @@ BATCH_TOL = 1e-15
 def stacked_kernel_calls(draw):
     """A stack of states on 1..4 qubits with batch shape of one or two axes,
     and arguments for every kernel: targets, operators embedded on them, p,
-    kept qubits, eta."""
+    kept qubits."""
     n = draw(st.integers(1, 4))
     batch = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     rng = np.random.default_rng(draw(seeds))
@@ -405,8 +405,6 @@ def stacked_kernel_calls(draw):
         "targets": targets,
         "p": draw(st.floats(0.0, 1.0)),
         "keep": keep,
-        "target": targets[0],
-        "eta": draw(st.floats(0.5, 1.0, exclude_min=True)),
     }
 
 
@@ -427,7 +425,6 @@ def slice_by_slice(kernel, states, *stacks):
 def test_kernels_on_a_stack_equal_the_kernels_slice_by_slice(case):
     states, ops, targets, p = case["states"], case["ops"], case["targets"], case["p"]
     one_op = ops.reshape((-1,) + ops.shape[-2:])[0]
-    weights = dmsim._readout_weights(case["eta"])
     kernels = {
         "conjugate": (lambda r: dmsim._conjugate(r, one_op),),
         "conjugate by a stack": (lambda r, op: dmsim._conjugate(r, op), ops),
@@ -435,9 +432,6 @@ def test_kernels_on_a_stack_equal_the_kernels_slice_by_slice(case):
         "noisy by a stack": (lambda r, op: dmsim._noisy(r, op, targets, p), ops),
         "partial trace": (lambda r: dmsim._partial_trace(r, case["keep"]),),
         "depolarized": (lambda r: dmsim._depolarized(r, targets),),
-        "readout": (lambda r: dmsim._readout(r, case["target"], weights),),
-        "outcome probabilities":
-            (lambda r: dmsim._outcome_probabilities(r, case["target"], case["eta"]),),
     }
     for name, (kernel, *stacks) in kernels.items():
         got = parts(kernel(states, *stacks))
@@ -459,18 +453,24 @@ CIRCUIT_READOUTS = {"swap": ((1, 2), (0, 3)), "purify": ((2, 3), (0, 1))}
     st.floats(0.5, 1.0, exclude_min=True),
 )
 def test_fused_readout_equals_readout_then_partial_trace(circuit, batch, seed, eta):
-    """One contraction over the measured qubits' diagonal blocks equals two
-    readouts that keep the qubits and a partial trace that drops them; for
-    purification, summed over the branches whose reports agree."""
+    """One contraction over the measured qubits' diagonal blocks equals the
+    projections onto each pair of values (u, v) the qubits can read, weighted
+    by ``W[m1, u] * W[m2, v]`` for the reports (m1, m2), and a partial trace
+    that drops the qubits; for purification, summed over the branches whose
+    reports agree."""
     measured, keep = CIRCUIT_READOUTS[circuit]
     rng = np.random.default_rng(seed)
     batch = tuple(batch)
     states = np.stack([random_state(rng, 4) for _ in range(math.prod(batch))])
     states = states.reshape(batch + (16, 16))
-    weights = dmsim._readout_weights(eta)
-    branches = dmsim._readout(dmsim._readout(states, measured[0], weights), measured[1], weights)
-    want = dmsim._partial_trace(branches, keep)
+    values = np.eye(2)
+    projectors = np.array([
+        [expand_operator(np.kron(np.outer(u, u), np.outer(v, v)), measured, 4) for v in values]
+        for u in values
+    ])
+    projected = dmsim._partial_trace(projectors @ states[..., None, None, :, :] @ projectors, keep)
     report = dmsim._report_matrix(eta)
+    want = np.einsum("au,bv,...uvij->...abij", report, report, projected)
     if circuit == "swap":
         got = dmsim._measure_and_discard(
             states, measured, report[:, None, :, None] * report[None, :, None, :]
@@ -478,6 +478,29 @@ def test_fused_readout_equals_readout_then_partial_trace(circuit, batch, seed, e
     else:
         want = want[..., (0, 1), (0, 1), :, :].sum(axis=-3)
         got = dmsim._measure_and_discard(states, measured, report.T @ report)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= BATCH_TOL
+
+
+@given(st.lists(st.integers(1, 3), max_size=2), seeds, st.floats(0.0, 1.0))
+def test_the_swap_recovery_is_one_channel(batch, seed, p1):
+    """The recovery X^m2 Z^m1 as one channel of reliability ``p1**2`` equals
+    the two it stands for, Z^m1 and then X^m2, each of reliability ``p1``
+    and each twirling qubit 1 of the pair over the Paulis when it fails."""
+    rng = np.random.default_rng(seed)
+    batch = tuple(batch) + (2, 2)
+    pair = np.stack([random_state(rng, 2) for _ in range(math.prod(batch))])
+    pair = pair.reshape(batch + (4, 4))
+    paulis = [expand_operator(P, (1,), 2) for P in PAULIS]
+
+    def channel(rho, op, p):
+        twirled = sum(P @ rho @ P.conj().T for P in paulis) / len(paulis)
+        return p * (op @ rho @ op.conj().swapaxes(-1, -2)) + (1.0 - p) * twirled
+
+    z = np.stack([expand_operator(P, (1,), 2) for P in (np.eye(2), Z)])[:, None]
+    x = np.stack([expand_operator(P, (1,), 2) for P in (np.eye(2), X)])
+    want = channel(channel(pair, z, p1), x, p1)
+    got = dmsim._noisy(pair, dmsim._CORRECTIONS, (1,), p1 * p1)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= BATCH_TOL
 
