@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .noise import (
@@ -29,6 +28,8 @@ from .werner import (
     GateNoiseParams,
     _integer,
     _real,
+    _Record,
+    _setattr,
     purify_noisy,
     purify_success_probability,
     swap_chain_fidelity,
@@ -42,8 +43,7 @@ MAX_SCHEDULE_LINKS = 2**16
 STAGES = ("init", "after_es", "after_memory", "after_epp")
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(_Record):
     """Static description of one repeater chain.
 
     ``l`` links merge per swap level, ``n`` levels deep, so the chain has
@@ -55,21 +55,20 @@ class ChainConfig:
     purification round.
     """
 
-    l: int
-    n: int
-    link: LinkModel
-    m: int = 2
-    epp_rounds_per_level: int = 1
-    c_es: float = 1.0
-    c_epp: float = 2.0
+    __slots__ = ("l", "n", "link", "m", "epp_rounds_per_level", "c_es", "c_epp")
 
-    def __post_init__(self) -> None:
-        _integer("l", self.l, 2)
-        _integer("n", self.n, 0)
-        _integer("m", self.m, 2)
-        _integer("epp_rounds_per_level", self.epp_rounds_per_level, 0)
-        _real("c_es", self.c_es, 0.0)
-        _real("c_epp", self.c_epp, 0.0)
+    def __init__(
+        self, l: int, n: int, link: LinkModel, m: int = 2, epp_rounds_per_level: int = 1,
+        c_es: float = 1.0, c_epp: float = 2.0,
+    ) -> None:
+        _setattr(self, "l", _integer("l", l, 2))
+        _setattr(self, "n", _integer("n", n, 0))
+        _setattr(self, "link", link)
+        _setattr(self, "m", _integer("m", m, 2))
+        _setattr(self, "epp_rounds_per_level",
+                 _integer("epp_rounds_per_level", epp_rounds_per_level, 0))
+        _setattr(self, "c_es", _real("c_es", c_es, 0.0))
+        _setattr(self, "c_epp", _real("c_epp", c_epp, 0.0))
 
     @property
     def checkpoints(self) -> int:
@@ -158,12 +157,14 @@ class TraceStep(NamedTuple):
         return self.fidelity <= DEGENERACY_THRESHOLD
 
 
-@dataclass(frozen=True)
-class FidelityTrace:
+class FidelityTrace(_Record):
     """Stage-by-stage record of one simulated chain, ``degenerate`` when it
     was cut short at a step on the fully mixed floor."""
 
-    steps: tuple[TraceStep, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...]) -> None:
+        _setattr(self, "steps", steps)
 
     @property
     def degenerate(self) -> bool:

@@ -40,9 +40,9 @@ axes and applied as one noisy channel.  :func:`map_deviations` puts the
 fidelities of one gate set on the batch axis, so each gate set costs one
 pass of each circuit.
 
-The public primitives check their arguments on every call; the circuits
-take a gate set that checked itself when it was built, and their qubit
-positions are literals.  The Bell vectors and their projectors are built
+The public primitives check their arguments on every call, and refuse a
+state with a NaN or infinite entry; the circuits take a gate set that
+checked itself when it was built, and their qubit positions are literals.  The Bell vectors and their projectors are built
 once, at import, and are read-only, as are ``I2``, the value projectors and
 the circuits' embedded gates.
 """
@@ -130,8 +130,7 @@ def check_density_matrix(rho: np.ndarray) -> None:
     updates is tolerated, genuine negativity is not).
     """
     num_qubits(rho)
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has a NaN or infinite entry")
+    _check_finite(rho)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -139,6 +138,11 @@ def check_density_matrix(rho: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian within 1e-12")
     if float(np.min(np.linalg.eigvalsh(rho))) < EIGENVALUE_FLOOR:
         raise ValueError("matrix has an eigenvalue below -1e-10")
+
+
+def _check_finite(rho: np.ndarray) -> None:
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has a NaN or infinite entry")
 
 
 def bell_state(kind: BellKind) -> np.ndarray:
@@ -171,6 +175,7 @@ def fidelity_to_bell(rho: np.ndarray, kind: BellKind = BellKind.PHI_PLUS) -> flo
     """Overlap <bell| rho |bell> of a two-qubit state with a Bell state."""
     if num_qubits(rho) != 2:
         raise ValueError("fidelity_to_bell expects a two-qubit state")
+    _check_finite(rho)
     return float(_bell_overlap(rho, kind))
 
 
@@ -252,6 +257,7 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     _check_targets(None, keep, n)
     if list(keep) != sorted(keep):
         raise ValueError(f"keep indices must be sorted, got {keep!r}")
+    _check_finite(rho)
     return _partial_trace(rho, keep)
 
 
@@ -317,6 +323,7 @@ def apply_one_qubit_noisy(
     target qubit is discarded and replaced by a maximally mixed one in place.
     """
     _real("p1", p1, 0.0, 1.0)
+    _check_finite(rho)
     return _noisy(rho, expand_operator(op, (target,), num_qubits(rho)), (target,), p1)
 
 
@@ -326,6 +333,7 @@ def apply_two_qubit_noisy(
     """Depolarizing two-qubit operation; failure replaces both targets by I/4."""
     _real("p2", p2, 0.0, 1.0)
     targets = tuple(targets)
+    _check_finite(rho)
     return _noisy(rho, expand_operator(op, targets, num_qubits(rho)), targets, p2)
 
 
@@ -389,8 +397,7 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     _real("eta", eta, 0.5, 1.0, open_low=True)
     n = num_qubits(rho)
     projectors = np.stack([expand_operator(P, (target,), n) for P in _VALUE_PROJECTORS])
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has a NaN or infinite entry")
+    _check_finite(rho)
     states = np.tensordot(_report_matrix(eta), _conjugate(rho, projectors), axes=1)
     probabilities = np.trace(states, axis1=-2, axis2=-1).real
     return [

@@ -3,32 +3,32 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .werner import (
-    DEGENERACY_THRESHOLD, FIDELITY_TOL, MIXED_FIDELITY, _real, validate_fidelity,
+    DEGENERACY_THRESHOLD, FIDELITY_TOL, MIXED_FIDELITY, _real, _Record, _setattr,
+    validate_fidelity,
 )
 
 
-@dataclass(frozen=True)
-class LinkModel:
+class LinkModel(_Record):
     """One elementary link: spacing, loss, signalling speed, fresh-pair fidelity."""
 
-    d_km: float = 25.0
-    f0: float = 0.96
-    alpha_db_per_km: float = 0.2
-    c_signal_km_s: float = 2.0e5
+    __slots__ = ("d_km", "f0", "alpha_db_per_km", "c_signal_km_s")
 
-    def __post_init__(self) -> None:
-        _real("d_km", self.d_km, 0.0, open_low=True)
-        _real("alpha_db_per_km", self.alpha_db_per_km, 0.0)
-        _real("c_signal_km_s", self.c_signal_km_s, 0.0, open_low=True)
+    def __init__(
+        self, d_km: float = 25.0, f0: float = 0.96, alpha_db_per_km: float = 0.2,
+        c_signal_km_s: float = 2.0e5,
+    ) -> None:
+        _setattr(self, "d_km", _real("d_km", d_km, 0.0, open_low=True))
+        _setattr(self, "alpha_db_per_km", _real("alpha_db_per_km", alpha_db_per_km, 0.0))
+        _setattr(self, "c_signal_km_s",
+                 _real("c_signal_km_s", c_signal_km_s, 0.0, open_low=True))
         # At or below the degeneracy floor the chain would stop before it starts.
-        _real("f0", self.f0, DEGENERACY_THRESHOLD, 1.0 + FIDELITY_TOL, open_low=True)
+        _setattr(self, "f0",
+                 _real("f0", f0, DEGENERACY_THRESHOLD, 1.0 + FIDELITY_TOL, open_low=True))
 
 
-@dataclass(frozen=True)
-class MemoryModel:
+class MemoryModel(_Record):
     """Quantum-memory behaviour while a pair idles.
 
     ``mode="none"`` keeps stored pairs pristine and takes no ``tau_s``;
@@ -36,18 +36,19 @@ class MemoryModel:
     the time constant ``tau_s``, which it requires.
     """
 
-    mode: str = "none"
-    tau_s: float | None = None
+    __slots__ = ("mode", "tau_s")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("none", "exponential"):
-            raise ValueError(f"mode must be 'none' or 'exponential', got {self.mode!r}")
-        if self.mode == "none" and self.tau_s is not None:
+    def __init__(self, mode: str = "none", tau_s: float | None = None) -> None:
+        if mode not in ("none", "exponential"):
+            raise ValueError(f"mode must be 'none' or 'exponential', got {mode!r}")
+        if mode == "none" and tau_s is not None:
             raise ValueError("tau_s only applies to mode=exponential")
-        if self.mode == "exponential":
-            if self.tau_s is None:
+        if mode == "exponential":
+            if tau_s is None:
                 raise ValueError("mode=exponential requires tau_s")
-            _real("tau_s", self.tau_s, 0.0, open_low=True)
+            _real("tau_s", tau_s, 0.0, open_low=True)
+        _setattr(self, "mode", mode)
+        _setattr(self, "tau_s", tau_s)
 
     @classmethod
     def none(cls) -> "MemoryModel":

@@ -9,15 +9,14 @@ of protocol latency.  Every curve point carries its metric label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import NamedTuple, Sequence
 
 from .chain import ChainConfig, TraceStep, _steps
 from .noise import MemoryModel, link_success_probability
 from .werner import (
-    GateNoiseParams, _integer, _real, purification_fixed_points, validate_fidelity,
-    werner_weight,
+    GateNoiseParams, _integer, _real, _Record, _setattr, purification_fixed_points,
+    validate_fidelity, werner_weight,
 )
 
 METRICS = ("resource_normalized", "time_normalized")
@@ -37,30 +36,28 @@ class InsufficientPointsError(ValueError):
     that the squares of their offsets stay nonzero."""
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    distance_km: float
-    rate: float
-    metric: str
+class RatePoint(_Record):
+    __slots__ = ("distance_km", "rate", "metric")
 
-    def __post_init__(self) -> None:
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}; expected {METRICS}")
-        _real("distance_km", self.distance_km, 0.0, open_low=True)
-        _real("rate", self.rate, 0.0, open_low=True)
+    def __init__(self, distance_km: float, rate: float, metric: str) -> None:
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; expected {METRICS}")
+        _setattr(self, "distance_km", _real("distance_km", distance_km, 0.0, open_low=True))
+        _setattr(self, "rate", _real("rate", rate, 0.0, open_low=True))
+        _setattr(self, "metric", metric)
 
 
-@dataclass(frozen=True)
-class RateCurve:
+class RateCurve(_Record):
     """One regime's rate-versus-distance points, strictly increasing in D."""
 
-    regime: str
-    points: tuple[RatePoint, ...]
+    __slots__ = ("regime", "points")
 
-    def __post_init__(self) -> None:
+    def __init__(self, regime: str, points: tuple[RatePoint, ...]) -> None:
         # Written as "not a < b" so that a NaN distance fails it too.
-        if not all(a.distance_km < b.distance_km for a, b in pairwise(self.points)):
+        if not all(a.distance_km < b.distance_km for a, b in pairwise(points)):
             raise ValueError("curve distances must increase strictly")
+        _setattr(self, "regime", regime)
+        _setattr(self, "points", points)
 
     @property
     def distances(self) -> tuple[float, ...]:
@@ -240,20 +237,19 @@ def sweep_rates(
     is past the float range raises ``OverflowError``.
 
     Levels nest and a level's latency does not depend on the depth, so each
-    regime is walked once, to the deepest depth, keeping each level's last
-    step, where a shallower chain ends.  Depths past a fully mixed stop get
-    no repeater point.
+    memory is walked once, to the deepest depth, keeping each level's last
+    step, where a shallower chain ends; a perfect ``mem`` shares the ideal
+    regime's walk.  Depths past a fully mixed stop get no repeater point.
     """
     if f_useful is None:
         f_useful = purification_fixed_points(g).f_min
-    deepest = replace(cfg, n=n_values[-1] if n_values else 0)
-    walks = [
-        (regime, {step.level: step for step in _steps(deepest, g, regime_mem)})
-        for regime, regime_mem in (
-            ("repeater_ideal_memory", MemoryModel.none()),
-            ("repeater_noisy_memory", mem),
-        )
-    ]
+    deepest = cfg._replace(n=n_values[-1] if n_values else 0)
+    ideal = MemoryModel.none()
+    walks = {m: {step.level: step for step in _steps(deepest, g, m)}
+             for m in dict.fromkeys((ideal, mem))}
+    regimes = (
+        ("repeater_ideal_memory", walks[ideal]), ("repeater_noisy_memory", walks[mem])
+    )
     points: dict[tuple[str, str], list[RatePoint]] = {key: [] for key in CURVES}
     previous = -math.inf
     for n in n_values:
@@ -268,7 +264,7 @@ def sweep_rates(
             points["direct", "resource_normalized"].append(
                 RatePoint(distance, direct_rate, "resource_normalized")
             )
-        for regime, ends in walks:
+        for regime, ends in regimes:
             values = _rates_at(ends[n], f_useful) if n in ends else ()
             for metric, value in zip(METRICS, values):
                 if value > 0.0 and math.isfinite(value):

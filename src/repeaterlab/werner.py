@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 
 FIDELITY_TOL = 1e-12
 
@@ -83,8 +82,53 @@ def _out_of_range(name: str, value, low, high, open_low: bool = False) -> ValueE
     return ValueError(f"{name} must lie in {left}{low:.15g}, {right}, got {shown}")
 
 
-@dataclass(frozen=True)
-class GateNoiseParams:
+# Sets a field of a _Record past the record's own refusing __setattr__.
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the records that check their fields: immutable, equal and
+    hashed by their field values within one class, printed as
+    ``Name(field=value, ...)``, and matched positionally.  A subclass lists
+    its fields in ``__slots__`` and its ``__init__`` sets each, once checked,
+    with a ``_setattr`` call of its own (a loop over ``__slots__`` makes a
+    record about 50% slower to build); :meth:`_replace` calls the class
+    again, so a copy is checked again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self.__slots__, self._values())) | changes)
+
+
+class GateNoiseParams(_Record):
     """Local gate and measurement quality (p1, p2, eta).
 
     p1  reliability of a one-qubit operation (depolarizing weight),
@@ -94,14 +138,12 @@ class GateNoiseParams:
     no information.  ``GateNoiseParams()`` is perfect gates.
     """
 
-    p1: float = 1.0
-    p2: float = 1.0
-    eta: float = 1.0
+    __slots__ = ("p1", "p2", "eta")
 
-    def __post_init__(self) -> None:
-        _real("p1", self.p1, 0.0, 1.0, open_low=True)
-        _real("p2", self.p2, 0.0, 1.0, open_low=True)
-        _real("eta", self.eta, 0.5, 1.0, open_low=True)
+    def __init__(self, p1: float = 1.0, p2: float = 1.0, eta: float = 1.0) -> None:
+        _setattr(self, "p1", _real("p1", p1, 0.0, 1.0, open_low=True))
+        _setattr(self, "p2", _real("p2", p2, 0.0, 1.0, open_low=True))
+        _setattr(self, "eta", _real("eta", eta, 0.5, 1.0, open_low=True))
 
 
 def werner_weight(f: float) -> float:
@@ -183,8 +225,7 @@ def _digit_count(n: int) -> str:
         return f"more than {sys.get_int_max_str_digits()}"
 
 
-@dataclass(frozen=True)
-class FixedPoints:
+class FixedPoints(_Record):
     """Nontrivial fixed points of the noisy purification map.
 
     ``f_min`` and ``f_max`` bound the interval on which purification gains
@@ -192,13 +233,13 @@ class FixedPoints:
     degenerate case where the two roots have merged into a tangency.
     """
 
-    f_min: float
-    f_max: float
-    marginal: bool = False
+    __slots__ = ("f_min", "f_max", "marginal")
 
-    def __post_init__(self) -> None:
-        _real("f_min", self.f_min, MIXED_FIDELITY, 1.0 + FIDELITY_TOL, open_low=True)
-        _real("f_max", self.f_max, self.f_min, 1.0 + FIDELITY_TOL)
+    def __init__(self, f_min: float, f_max: float, marginal: bool = False) -> None:
+        _real("f_min", f_min, MIXED_FIDELITY, 1.0 + FIDELITY_TOL, open_low=True)
+        _setattr(self, "f_min", f_min)
+        _setattr(self, "f_max", _real("f_max", f_max, f_min, 1.0 + FIDELITY_TOL))
+        _setattr(self, "marginal", marginal)
 
 
 def purification_fixed_points(g: GateNoiseParams) -> FixedPoints:

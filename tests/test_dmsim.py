@@ -420,6 +420,24 @@ def test_measure_noisy_refuses_a_non_finite_state(bad, entry):
             measure_noisy(rho, 0, 0.9)
 
 
+@pytest.mark.parametrize("primitive", [
+    lambda rho: partial_trace(rho, (0,)),
+    lambda rho: apply_one_qubit_noisy(rho, 0, X, 0.9),
+    lambda rho: apply_two_qubit_noisy(rho, (0, 1), CNOT, 0.9),
+    fidelity_to_bell,
+], ids=["partial_trace", "apply_one_qubit_noisy", "apply_two_qubit_noisy", "fidelity_to_bell"])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)], ids=["diagonal", "coherence"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_state_primitives_refuse_a_non_finite_state(primitive, bad, entry):
+    # A coherence that partial_trace traces away must not vanish unseen.
+    rho = werner_state(0.9)
+    rho[entry] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix has a NaN or infinite entry"):
+            primitive(rho)
+
+
 def test_gate_application_does_not_assume_a_hermitian_input():
     # U m U^H is taken as written, for any matrix m.
     rng = np.random.default_rng(9)

@@ -10,7 +10,6 @@ import re
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -104,7 +103,7 @@ def test_maps_are_monotone_in_each_gate_parameter(g, name, u, f, l):
     """Raising one of p1, p2, eta toward 1 never lowers a fidelity or the
     purification pass probability."""
     value = getattr(g, name)
-    better = replace(g, **{name: value + u * (1.0 - value)})
+    better = g._replace(**{name: value + u * (1.0 - value)})
     for worse_out, better_out in (
         (swap_chain_fidelity(f, l, g), swap_chain_fidelity(f, l, better)),
         (purify_noisy(f, g), purify_noisy(f, better)),
@@ -768,14 +767,14 @@ NUMERIC_PARAMETERS = {
     "MemoryModel.exponential": ("tau_s", MemoryModel.exponential, a_float_field("tau_s")),
     "MemoryModel.none": (
         "tau_s", lambda v: MemoryModel("none", v), lambda mem: mem.tau_s is None),
-    "ChainConfig.l": ("l", lambda v: replace(CHAIN, l=v), an_int_field("l", 2)),
-    "ChainConfig.n": ("n", lambda v: replace(CHAIN, n=v), an_int_field("n", 0)),
-    "ChainConfig.m": ("m", lambda v: replace(CHAIN, m=v), an_int_field("m", 2)),
+    "ChainConfig.l": ("l", lambda v: CHAIN._replace(l=v), an_int_field("l", 2)),
+    "ChainConfig.n": ("n", lambda v: CHAIN._replace(n=v), an_int_field("n", 0)),
+    "ChainConfig.m": ("m", lambda v: CHAIN._replace(m=v), an_int_field("m", 2)),
     "ChainConfig.epp_rounds_per_level": (
-        "epp_rounds_per_level", lambda v: replace(CHAIN, epp_rounds_per_level=v),
+        "epp_rounds_per_level", lambda v: CHAIN._replace(epp_rounds_per_level=v),
         an_int_field("epp_rounds_per_level", 0)),
-    "ChainConfig.c_es": ("c_es", lambda v: replace(CHAIN, c_es=v), a_float_field("c_es")),
-    "ChainConfig.c_epp": ("c_epp", lambda v: replace(CHAIN, c_epp=v), a_float_field("c_epp")),
+    "ChainConfig.c_es": ("c_es", lambda v: CHAIN._replace(c_es=v), a_float_field("c_es")),
+    "ChainConfig.c_epp": ("c_epp", lambda v: CHAIN._replace(c_epp=v), a_float_field("c_epp")),
 }
 
 

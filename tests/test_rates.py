@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections.abc import Sequence
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,6 +35,8 @@ from repeaterlab import (
     threshold_distance,
     usefulness_weight,
 )
+from repeaterlab import rates
+from repeaterlab.chain import _steps
 from repeaterlab.rates import CURVES
 
 IDEAL = GateNoiseParams()
@@ -386,7 +387,7 @@ def test_sweep_rates_equals_per_depth_repeater_rate(cfg, g, mem, n_values):
         ("repeater_noisy_memory", "time_normalized"),
     )}
     for n in n_values:
-        cfg_n = replace(cfg, n=n)
+        cfg_n = cfg._replace(n=n)
         for regime, regime_mem in (
             ("repeater_ideal_memory", MemoryModel.none()),
             ("repeater_noisy_memory", mem),
@@ -407,6 +408,28 @@ def test_sweep_rates_equals_per_depth_repeater_rate(cfg, g, mem, n_values):
     if mem.mode == "exponential" and cfg.l == 2:
         # these cases lose their deepest points to degeneracy mid-sweep
         assert 0 < len(got[2]) < len(n_values)
+
+
+@pytest.mark.parametrize("mem, walks", [
+    (MemoryModel(), [MemoryModel.none()]),
+    (MemoryModel.exponential(5e-3), [MemoryModel.none(), MemoryModel.exponential(5e-3)]),
+], ids=["perfect", "lossy"])
+def test_sweep_rates_walks_each_memory_once(monkeypatch, mem, walks):
+    # A perfect ``mem`` equals the ideal memory by value, not identity, and
+    # shares its walk; the per-depth test above checks the points themselves.
+    walked = []
+
+    def counting_steps(cfg, g, memory):
+        walked.append(memory)
+        return _steps(cfg, g, memory)
+
+    monkeypatch.setattr(rates, "_steps", counting_steps)
+    cfg = ChainConfig(l=2, n=1, link=LinkModel(), epp_rounds_per_level=1)
+    curves = sweep_rates(cfg, BASELINE, mem, [0, 1, 2, 3, 5, 8])
+    assert walked == walks
+    ideal, noisy = curves[1:3], curves[3:5]
+    assert [c.points for c in ideal] != [()] * 2
+    assert ([c.points for c in ideal] == [c.points for c in noisy]) == (len(walks) == 1)
 
 
 def test_sweep_rates_with_no_depths():
@@ -482,11 +505,12 @@ def test_scalar_modules_do_not_import_numpy():
                               capture_output=True, text=True).stdout
 
     loaded = "print(sorted(m for m in sys.modules if m.startswith('repeaterlab.')))"
+    # Nor do they load ``dataclasses`` or the ``inspect`` it pulls in.
     assert fresh(
         "import sys, repeaterlab, repeaterlab.werner, repeaterlab.noise, "
         "repeaterlab.chain, repeaterlab.rates, repeaterlab.cli; "
-        "print('numpy' in sys.modules)"
-    ) == "False\n"
+        "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    ) == "[]\n"
     assert fresh(f"import sys, repeaterlab; {loaded}") == "[]\n"
     assert fresh(f"import sys, repeaterlab.werner; {loaded}") == "['repeaterlab.werner']\n"
     assert fresh(

@@ -1,25 +1,25 @@
 """The package's one record rule: a record that checks nothing is a
-``NamedTuple``; a frozen dataclass is kept only where ``__post_init__``
-checks its fields."""
+``NamedTuple``; a record that checks its fields, and ``FidelityTrace``, is a
+``werner._Record``; no package class is a dataclass."""
 
+import copy
 import dataclasses
 import importlib
 import inspect
 import math
+import pickle
 import pkgutil
 
 import numpy as np
 import pytest
 
 import repeaterlab
-from repeaterlab.chain import ScheduleRound, TraceStep
+from repeaterlab.chain import ChainConfig, FidelityTrace, ScheduleRound, TraceStep
 from repeaterlab.cli import RunConfig
 from repeaterlab.dmsim import EppResult, EsResult, MeasurementBranch
-from repeaterlab.rates import ScalingFit, ThresholdResult
-
-#: A dataclass that checks nothing, kept so: a tuple of one field would
-#: have ``len`` 1 and iterate once, over its steps.
-UNCHECKED_DATACLASSES = {"FidelityTrace"}
+from repeaterlab.noise import LinkModel, MemoryModel
+from repeaterlab.rates import RateCurve, RatePoint, ScalingFit, ThresholdResult
+from repeaterlab.werner import FixedPoints, GateNoiseParams, _Record, _setattr
 
 #: One instance of each record and the ``repr`` its dataclass form printed.
 RECORDS = [
@@ -42,6 +42,38 @@ RECORDS = [
      "f_useful=None)"),
 ]
 
+POINT = RatePoint(25.0, 0.5, "resource_normalized")
+FAR = RatePoint(50.0, 0.25, "resource_normalized")
+
+#: One instance of each validated record, the ``repr`` its dataclass form
+#: printed, and a change its checks refuse with the given error (none for
+#: ``FidelityTrace``, which checks nothing).
+VALIDATED = [
+    (GateNoiseParams(0.99, 0.98, 0.97), "GateNoiseParams(p1=0.99, p2=0.98, eta=0.97)",
+     {"eta": 0.5}, ValueError, "^eta must lie in"),
+    (FixedPoints(0.5, 1.0), "FixedPoints(f_min=0.5, f_max=1.0, marginal=False)",
+     {"f_max": 0.4}, ValueError, "^f_max must lie in"),
+    (LinkModel(), "LinkModel(d_km=25.0, f0=0.96, alpha_db_per_km=0.2, c_signal_km_s=200000.0)",
+     {"d_km": "25"}, TypeError, "^d_km must be a number"),
+    (MemoryModel.exponential(0.5), "MemoryModel(mode='exponential', tau_s=0.5)",
+     {"tau_s": None}, ValueError, "requires tau_s"),
+    (ChainConfig(2, 3, LinkModel(d_km=10.0, f0=0.9)),
+     "ChainConfig(l=2, n=3, link=LinkModel(d_km=10.0, f0=0.9, alpha_db_per_km=0.2, "
+     "c_signal_km_s=200000.0), m=2, epp_rounds_per_level=1, c_es=1.0, c_epp=2.0)",
+     {"l": True}, TypeError, "^l must be a number"),
+    (FidelityTrace((TraceStep(0, "init", 0.96, 0.0, 1),)),
+     "FidelityTrace(steps=(TraceStep(level=0, stage='init', fidelity=0.96, "
+     "elapsed_seconds=0.0, pairs_consumed=1),))",
+     None, None, None),
+    (POINT, "RatePoint(distance_km=25.0, rate=0.5, metric='resource_normalized')",
+     {"rate": 0.0}, ValueError, "^rate must lie in"),
+    (RateCurve("direct", (POINT, FAR)),
+     "RateCurve(regime='direct', points=(RatePoint(distance_km=25.0, rate=0.5, "
+     "metric='resource_normalized'), RatePoint(distance_km=50.0, rate=0.25, "
+     "metric='resource_normalized')))",
+     {"points": (FAR, POINT)}, ValueError, "must increase strictly"),
+]
+
 
 def package_classes():
     for info in pkgutil.iter_modules(repeaterlab.__path__):
@@ -51,12 +83,60 @@ def package_classes():
                 yield cls
 
 
-def test_every_dataclass_checks_its_fields():
-    unchecked = {
-        cls.__name__ for cls in package_classes()
-        if dataclasses.is_dataclass(cls) and "__post_init__" not in vars(cls)
-    }
-    assert unchecked == UNCHECKED_DATACLASSES
+def test_each_record_follows_the_record_rule():
+    classes = list(package_classes())
+    assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]
+    validated = {cls for cls in classes if issubclass(cls, _Record) and cls is not _Record}
+    assert validated == {type(record) for record, *_ in VALIDATED}
+    plain = {cls for cls in classes if issubclass(cls, tuple) and hasattr(cls, "_fields")}
+    assert plain == {type(record) for record, _ in RECORDS} | {repeaterlab.RepeaterRate}
+
+
+@pytest.mark.parametrize("record, text, bad, error, message", VALIDATED,
+                         ids=[type(r).__name__ for r, *_ in VALIDATED])
+def test_validated_records_keep_the_dataclass_behaviour(record, text, bad, error, message):
+    cls = type(record)
+    names = cls.__slots__
+    values = tuple(getattr(record, name) for name in names)
+    assert repr(record) == text
+    assert cls.__match_args__ == names
+
+    # Equal by value within one class only: never a tuple, nor a subclass
+    # built from the same values.
+    twin = cls(*values)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert record != values and values != record
+    other = type("Other", (cls,), {})(*values)
+    assert record != other and other != record
+    for name in names:  # every field counts, as it did in the dataclass
+        changed = copy.copy(record)
+        _setattr(changed, name, object())
+        assert changed != record and record != changed
+
+    for name in names:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+    assert record._replace() == record
+    with pytest.raises(TypeError):
+        record._replace(no_such_field=1)
+    if bad is not None:
+        with pytest.raises(error, match=message):
+            record._replace(**bad)
+
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                  copy.deepcopy(record)):
+        assert type(clone) is cls and clone == record and repr(clone) == text
+
+    match record:
+        case cls(first):
+            assert first == values[0]
+        case _:
+            pytest.fail("positional match failed")
 
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
