@@ -26,15 +26,6 @@ from typing import NamedTuple
 
 from .chain import ChainConfig, resource_count, simulate_chain, trace_to_csv
 from .noise import LinkModel, MemoryModel
-from .rates import (
-    CURVES,
-    InsufficientPointsError,
-    RateCurve,
-    curves_to_csv,
-    scaling_fit,
-    sweep_rates,
-    threshold_distance,
-)
 from .werner import (
     GateNoiseParams,
     NoValidRangeError,
@@ -181,6 +172,8 @@ def cmd_trace(run: RunConfig, args) -> int:
 
 
 def cmd_threshold(run: RunConfig, args) -> int:
+    from .rates import threshold_distance
+
     th = threshold_distance(run.chain, run.gates, run.memory)
     if math.isinf(th.distance_km):
         print(f"D_th_km=Infinite f_min={_fmt(th.f_min)}")
@@ -193,6 +186,11 @@ def cmd_threshold(run: RunConfig, args) -> int:
 
 
 def cmd_rate_sweep(run: RunConfig, args) -> int:
+    # Only the two rate subcommands load rates, as only oracle-check loads dmsim.
+    from .rates import (
+        CURVES, InsufficientPointsError, RateCurve, curves_to_csv, scaling_fit, sweep_rates,
+    )
+
     out = _require_out(args)
     curves = sweep_rates(run.chain, run.gates, run.memory, run.sweep, run.f_useful)
     with open(out, "w", encoding="utf-8") as fh:
@@ -301,9 +299,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoValidRangeError, InsufficientPointsError, OverflowError) as exc:
+    except (NoValidRangeError, OverflowError) as exc:
         print(f"{type(exc).__name__.removesuffix('Error')}: {exc}")
         return 1
+
 
 if __name__ == "__main__":
     sys.exit(main())

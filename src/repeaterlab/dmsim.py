@@ -17,34 +17,36 @@ type promotion keeps their results complex.
 
 Gates act as ``U rho U^H`` with ``U`` the full ``2^n x 2^n`` embedded
 operator, by two matrix products that broadcast over the batch axes and
-over a stack of operators.  The circuits' gates sit on fixed qubits, so
-each is embedded by :func:`expand_operator` once, at import; the public
-primitives embed their operator per call.  A failed gate is one partial
-trace onto the untouched qubits and one broadcast product with ``I/2^k``
-on the fresh ones.  Readout follows one rule, the report matrix ``W[m, v]``
-(eta if the reported m is the value v found, else 1 - eta): the branch of
-report m is ``sum_v W[m, v] P_v rho P_v`` (:func:`measure_noisy`), ``P_v``
-the projector ``|v><v|`` on the measured qubit; its trace is its probability.
+over a stack of operators; a failed gate leaves its targets maximally mixed
+in place.  Readout follows one rule, the report matrix ``W[m, v]`` (eta if
+the reported m is the value v found, else 1 - eta): the branch of report m
+is ``sum_v W[m, v] P_v rho P_v`` (:func:`measure_noisy`), ``P_v`` the
+projector ``|v><v|`` on the measured qubit; its trace is its probability.
+The public primitives embed their operator and trace a failed gate's
+targets out by einsum on every call, since dense maps for n qubits grow as
+16^n.  The circuits act on fixed qubits and apply constant maps built at
+import (:func:`_circuit_gate`): each gate, its adjoint, and its failure as
+a partial trace and an ``I/2^k`` embedding, both the per-call kernels
+applied to the matrix basis.
 
 A circuit is one straight-line pass over a batch.  A readout puts the
 reported outcome on a new axis just before the matrix axes and leaves the
 branch states unnormalized, so a branch's trace is its probability, every
 later step acts on all branches at once, and a branch of probability zero is
 a zero matrix that adds nothing to the result.  Both circuits read out two
-station qubits and then discard them, so they do both in one contraction
-over the measured qubits' diagonal blocks (:func:`_measure_and_discard`).
-Its reference is the projector readout of both qubits, which keeps them,
-and a :func:`_partial_trace` that drops them.  The swap's recovery is one
-stack of operators, one per reported pair, broadcast against the branch
-axes and applied as one noisy channel.  :func:`map_deviations` puts the
-fidelities of one gate set on the batch axis, so each gate set costs one
-pass of each circuit.
+station qubits and discard them in one step, a gather of their four
+diagonal blocks weighed by the reports in one matrix product
+(:func:`_measure_and_discard`).  The swap's recovery is one stack of
+operators, one per reported pair, broadcast against the branch axes and
+applied as one noisy channel.  :func:`map_deviations` puts the fidelities
+of one gate set on the batch axis, so each gate set costs one pass of each
+circuit.
 
 The public primitives check their arguments on every call, and refuse a
 state with a NaN or infinite entry; the circuits take a gate set that
-checked itself when it was built, and their qubit positions are literals.  The Bell vectors and their projectors are built
-once, at import, and are read-only, as are ``I2``, the value projectors and
-the circuits' embedded gates.
+checked itself when it was built, and their qubit positions are literals.
+The Bell vectors and their projectors are built once, at import, and are
+read-only, as are ``I2``, the value projectors and the circuits' maps.
 """
 
 from __future__ import annotations
@@ -227,18 +229,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-#: The circuits' gates, embedded on their qubits once.  The swap's recovery
-#: ``_CORRECTIONS[m1, m2]`` is X^m2 Z^m1 on qubit 1 of the remaining pair
-#: (0, 3), indexed by the reported bits.
-_CNOT_12 = _read_only(expand_operator(CNOT, (1, 2), 4))
-_CNOT_02 = _read_only(expand_operator(CNOT, (0, 2), 4))
-_CNOT_13 = _read_only(expand_operator(CNOT, (1, 3), 4))
-_H_1 = _read_only(expand_operator(H, (1,), 4))
-_CORRECTIONS = _read_only(
-    np.array([[expand_operator(x @ z, (1,), 2) for x in (I2, X)] for z in (I2, Z)])
-)
-
-
 def _qubits(rho: np.ndarray) -> int:
     """Qubit count of a stack of ``2^n x 2^n`` matrices, unchecked."""
     return rho.shape[-1].bit_length() - 1
@@ -314,6 +304,42 @@ def _noisy(
     return p * ideal + (1.0 - p) * _depolarized(rho, targets)
 
 
+def _circuit_gate(op: np.ndarray, targets: tuple[int, ...]) -> tuple:
+    """``(op, adjoint, trace, fresh)`` of the embedded real ``op`` (or a stack) on
+    ``targets``: the failure maps are :func:`_trace_subscripts`' partial trace and
+    :func:`_depolarized`'s last step applied to the matrix basis, indexed last (faster)."""
+    n = _qubits(op)
+    keep, split, fresh = _depolarizing_plan(n, targets)
+    state, out = _trace_subscripts(n, keep).split("->...")
+    basis = np.eye(4**n, dtype=np.uint8).reshape((2,) * (4 * n))
+    trace = np.einsum(f"{state[3:]}...->{out}...", basis).reshape(-1, 4**n)
+    fresh = (np.eye(4 ** len(keep)).reshape(split + (-1,)) * fresh[..., None]).reshape(4**n, -1)
+    maps = (op, op.swapaxes(-1, -2), trace.T, fresh.T)
+    return tuple(_read_only(np.ascontiguousarray(m, dtype=float)) for m in maps)
+
+
+def _apply(rho: np.ndarray, gate: tuple, p: float) -> np.ndarray:
+    """:func:`_noisy` through the constant maps of :func:`_circuit_gate`; each
+    matrix is its own one-row product, so it rounds alike in any batch."""
+    op, adjoint, trace, fresh = gate
+    ideal = op @ rho @ adjoint
+    if p == 1.0:
+        return ideal
+    flat = rho.reshape(rho.shape[:-2] + (1, trace.shape[0]))
+    return p * ideal + (1.0 - p) * (flat @ trace @ fresh).reshape(rho.shape)
+
+
+#: The circuits' gates.  The swap's recovery ``_CORRECTIONS[0][m1, m2]`` is
+#: X^m2 Z^m1 on qubit 1 of the remaining pair (0, 3), indexed by the reported
+#: bits.  The Hadamard never fails, and is real and symmetric: its own adjoint.
+_CNOT_12 = _circuit_gate(expand_operator(CNOT, (1, 2), 4), (1, 2))
+_CNOT_02 = _circuit_gate(expand_operator(CNOT, (0, 2), 4), (0, 2))
+_CNOT_13 = _circuit_gate(expand_operator(CNOT, (1, 3), 4), (1, 3))
+_H_1 = _read_only(expand_operator(H, (1,), 4))
+_CORRECTIONS = _circuit_gate(np.array(
+    [[expand_operator(x @ z, (1,), 2) for x in (I2, X)] for z in (I2, Z)]), (1,))
+
+
 def apply_one_qubit_noisy(
     rho: np.ndarray, target: int, op: np.ndarray, p1: float
 ) -> np.ndarray:
@@ -349,40 +375,35 @@ def _report_matrix(eta: float) -> np.ndarray:
     return np.array([[eta, 1.0 - eta], [1.0 - eta, eta]])
 
 
-def _measure_and_discard(
-    rho: np.ndarray, measured: tuple[int, int], weights: np.ndarray
-) -> np.ndarray:
-    """Read out the qubits ``measured`` and trace them out, for each matrix
-    of ``rho``, in one contraction.
-
-    ``weights[*reports, u, v]`` weighs the diagonal block in which
-    ``measured[0]`` reads u and ``measured[1]`` reads v; the trace never
-    reads the coherences between blocks.  Returns the unnormalized states of
-    the other qubits, shape ``batch + reports + (dim, dim)``.  With weights
-    built from :func:`_report_matrix`, a state's trace is the probability of
-    its reports, and it equals the projector readout of :func:`measure_noisy`
-    on both qubits, weighted by W, followed by :func:`_partial_trace` onto
-    the rest.
-    """
-    n = _qubits(rho)
-    batch = rho.shape[:-2]
-    reports = weights.shape[:-2]
-    subscripts = _discard_subscripts(n, measured, len(reports))
-    states = np.einsum(subscripts, rho.reshape(batch + (2,) * (2 * n)), weights)
-    dim = 1 << (n - len(measured))
-    return states.reshape(batch + reports + (dim, dim))
-
-
-@functools.lru_cache(maxsize=None)
-def _discard_subscripts(n: int, measured: tuple[int, int], reports: int) -> str:
-    """Einsum subscripts of :func:`_measure_and_discard`: the partial trace
-    over ``measured``, with a weights operand whose ``reports`` leading axes
-    come out just before the matrix axes."""
+def _diagonal_blocks(measured: tuple[int, int], n: int) -> np.ndarray:
+    """Row ``2u + v``: the flat positions, in a ``2^n x 2^n`` state, of the
+    diagonal block where qubit ``measured[0]`` reads u and ``measured[1]`` v."""
     keep = tuple(q for q in range(n) if q not in measured)
     state, out = _trace_subscripts(n, keep).split("->...")
-    tags = "zyx"[:reports]
     values = "".join(chr(ord("a") + q) for q in measured)
-    return f"{state},{tags}{values}->...{tags}{out}"
+    positions = np.arange(4**n).reshape((2,) * (2 * n))
+    return _read_only(np.einsum(f"{state}->{values}{out}", positions).reshape(4, -1))
+
+
+#: The station qubits each circuit reads out and discards.
+_SWAP_BLOCKS = _diagonal_blocks((1, 2), 4)
+_PURIFY_BLOCKS = _diagonal_blocks((2, 3), 4)
+
+
+def _measure_and_discard(rho: np.ndarray, blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Read out two qubits and trace them out, for each matrix of ``rho``, by
+    one product of ``weights[*reports, 2u + v]`` with the diagonal blocks
+    gathered at ``blocks`` (:func:`_diagonal_blocks`).
+
+    Returns the unnormalized states of the other qubits, shape ``batch +
+    reports + (dim, dim)``.  With weights from :func:`_report_matrix`, each
+    is :func:`measure_noisy`'s projector readout of both qubits, weighted by
+    W, then :func:`_partial_trace` onto the rest; its trace is the probability
+    of its reports."""
+    batch, dim = rho.shape[:-2], rho.shape[-1]
+    diagonal = rho.reshape(batch + (dim * dim,)).take(blocks, axis=-1)
+    states = weights.reshape(-1, 4) @ diagonal
+    return states.reshape(batch + weights.shape[:-1] + (dim >> 2, dim >> 2))
 
 
 def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementBranch]:
@@ -429,16 +450,15 @@ def _swap_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np.n
     ``batch + (2, 2)``.
     """
     report = _report_matrix(g.eta)
-    rho = _noisy(rho, _CNOT_12, (1, 2), g.p2)
-    rho = _conjugate(rho, _H_1)
+    rho = _apply(rho, _CNOT_12, g.p2)
+    rho = _H_1 @ rho @ _H_1
     # Qubits 1 and 2 are read out and done with: one state of the pair
     # (0, 3) per reported (m1, m2), weighted W[m1, u] * W[m2, v].
-    pair = _measure_and_discard(
-        rho, (1, 2), report[:, None, :, None] * report[None, :, None, :]
-    )
+    weights = report[:, None, :, None] * report[None, :, None, :]
+    pair = _measure_and_discard(rho, _SWAP_BLOCKS, weights.reshape(2, 2, 4))
     joint = np.trace(pair, axis1=-2, axis2=-1).real
     # The recovery acts on qubit 3, which is qubit 1 of the pair.
-    pair = _noisy(pair, _CORRECTIONS, (1,), g.p1 * g.p1)
+    pair = _apply(pair, _CORRECTIONS, g.p1 * g.p1)
     return _bell_overlap(pair).sum(axis=(-2, -1)), joint
 
 
@@ -449,11 +469,11 @@ def _purify_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np
     each of shape ``batch``.
     """
     report = _report_matrix(g.eta)
-    rho = _noisy(rho, _CNOT_02, (0, 2), g.p2)
-    rho = _noisy(rho, _CNOT_13, (1, 3), g.p2)
+    rho = _apply(rho, _CNOT_02, g.p2)
+    rho = _apply(rho, _CNOT_13, g.p2)
     # The pair (0, 1) survives when the two reports agree: qubits 2 and 3
     # found (u, v) pass with weight sum_m W[m, u] * W[m, v].
-    kept = _measure_and_discard(rho, (2, 3), report.T @ report)
+    kept = _measure_and_discard(rho, _PURIFY_BLOCKS, (report.T @ report).reshape(4))
     success = np.trace(kept, axis1=-2, axis2=-1).real
     if (success <= 0.0).any():
         raise ValueError("coincidence probability vanished; inputs are unphysical")

@@ -246,15 +246,15 @@ def test_oracle_check_passes(capsys):
 
 
 def test_oracle_check_stdout_is_frozen(capsys):
-    # The exact digits of the real-valued circuits that read out and discard
-    # the station qubits in one contraction; a change here means the
-    # circuits' rounding moved.
+    # The exact digits of the real-valued circuits that apply failed gates
+    # and readouts as constant maps; a change here means the circuits'
+    # rounding moved.
     code, out, _ = run_cli(capsys, "oracle-check")
     assert code == 0
     assert out == (
         "swap_max_deviation=8.881784197e-16\n"
         "purify_max_deviation=3.33066907388e-16\n"
-        "purify_success_max_deviation=6.66133814775e-16\n"
+        "purify_success_max_deviation=7.77156117238e-16\n"
     )
 
 
@@ -704,6 +704,20 @@ def test_non_finite_latency_multiplier_is_a_config_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("config error: section [chain]")
+
+
+def test_importing_the_cli_loads_neither_rates_nor_numpy():
+    # Checked in a fresh interpreter: only rate-sweep and threshold load
+    # rates, and only oracle-check loads numpy, each when it runs.
+    src = Path(repeaterlab.werner.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, repeaterlab.cli; "
+         "print(sorted({'repeaterlab.rates', 'numpy'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_reader_closing_the_pipe_early_is_not_a_traceback(tmp_path):

@@ -503,21 +503,22 @@ def test_intermediate_oracle_states_are_density_matrices():
 
     # Entanglement swapping, as in _swap_circuit.
     rho = check(dmsim._pair_product(pairs, pairs))
-    rho = check(dmsim._noisy(rho, dmsim._CNOT_12, (1, 2), g.p2))
-    rho = check(dmsim._conjugate(rho, dmsim._H_1))
+    rho = check(dmsim._apply(rho, dmsim._CNOT_12, g.p2))
+    rho = check(dmsim._H_1 @ rho @ dmsim._H_1)
     weights = report[:, None, :, None] * report[None, :, None, :]
-    pair = check(dmsim._measure_and_discard(rho, (1, 2), weights))
+    pair = check(dmsim._measure_and_discard(rho, dmsim._SWAP_BLOCKS, weights.reshape(2, 2, 4)))
     joint = np.trace(pair, axis1=-2, axis2=-1).real
-    pair = check(dmsim._noisy(pair, dmsim._CORRECTIONS, (1,), g.p1 * g.p1))
+    pair = check(dmsim._apply(pair, dmsim._CORRECTIONS, g.p1 * g.p1))
     assert pair.shape == (3, 2, 2, 4, 4)
     assert np.allclose(np.trace(pair, axis1=-2, axis2=-1), joint, rtol=0, atol=1e-15)
     assert np.allclose(joint.sum(axis=(-2, -1)), 1.0, rtol=0, atol=1e-15)
 
     # Purification, as in _purify_circuit.
     rho = check(dmsim._pair_product(pairs, pairs))
-    rho = check(dmsim._noisy(rho, dmsim._CNOT_02, (0, 2), g.p2))
-    rho = check(dmsim._noisy(rho, dmsim._CNOT_13, (1, 3), g.p2))
-    kept = check(dmsim._measure_and_discard(rho, (2, 3), report.T @ report))
+    rho = check(dmsim._apply(rho, dmsim._CNOT_02, g.p2))
+    rho = check(dmsim._apply(rho, dmsim._CNOT_13, g.p2))
+    kept = check(dmsim._measure_and_discard(
+        rho, dmsim._PURIFY_BLOCKS, (report.T @ report).reshape(4)))
     assert kept.shape == (3, 4, 4)
     # Swap: 3 four-qubit states after each of three steps, then 12 branch
     # pairs after each of two; purification: 3 states after each of four.
@@ -526,8 +527,8 @@ def test_intermediate_oracle_states_are_density_matrices():
 
 
 def test_the_circuits_run_in_real_arithmetic():
-    for op in (dmsim._CNOT_12, dmsim._CNOT_02, dmsim._CNOT_13, dmsim._H_1,
-               dmsim._CORRECTIONS):
+    for op in (*dmsim._CNOT_12, *dmsim._CNOT_02, *dmsim._CNOT_13, dmsim._H_1,
+               *dmsim._CORRECTIONS):
         assert op.dtype == np.float64
     g = GateNoiseParams(p1=0.95, p2=0.93, eta=0.97)
     pairs = dmsim._werner_states([0.3, 0.8])
@@ -539,6 +540,16 @@ def test_the_circuits_run_in_real_arithmetic():
     assert apply_one_qubit_noisy(rho, 0, 1j * X @ Z, 0.9).dtype == np.complex128
     assert partial_trace(rho, (0,)).dtype == np.complex128
     assert measure_noisy(rho, 1, 0.9)[0].state.dtype == np.complex128
+
+
+def test_the_circuits_constants_are_read_only():
+    # The circuits apply their gates, failure maps and block positions
+    # without copying them.
+    constants = (*dmsim._CNOT_12, *dmsim._CNOT_02, *dmsim._CNOT_13, dmsim._H_1,
+                 *dmsim._CORRECTIONS, dmsim._SWAP_BLOCKS, dmsim._PURIFY_BLOCKS)
+    for constant in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            constant[...] = 0
 
 
 def test_a_zero_probability_branch_is_masked_not_skipped(monkeypatch):
@@ -577,6 +588,7 @@ def test_map_deviations_over_a_grid_is_the_max_of_its_cells():
         cells = [map_deviations([f], [g], swap_map=swap_map) for g in noise for f in fidelities]
         assert grid == {key: max(cell[key] for cell in cells) for key in grid}
     assert map_deviations([], noise) == {"swap": 0.0, "purify": 0.0, "purify_success": 0.0}
+    assert map_deviations([0.5], []) == {"swap": 0.0, "purify": 0.0, "purify_success": 0.0}
 
 
 @pytest.mark.parametrize("name", ["swap", "purify", "purify_success"])

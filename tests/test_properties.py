@@ -440,9 +440,12 @@ def test_kernels_on_a_stack_equal_the_kernels_slice_by_slice(case):
             assert np.max(np.abs(g - w)) <= BATCH_TOL, name
 
 
-#: The station qubits each circuit reads out and discards, and the pair it
-#: keeps.
-CIRCUIT_READOUTS = {"swap": ((1, 2), (0, 3)), "purify": ((2, 3), (0, 1))}
+#: The station qubits each circuit reads out and discards, the pair it
+#: keeps, and where the circuit gathers the measured qubits' diagonal blocks.
+CIRCUIT_READOUTS = {
+    "swap": ((1, 2), (0, 3), dmsim._SWAP_BLOCKS),
+    "purify": ((2, 3), (0, 1), dmsim._PURIFY_BLOCKS),
+}
 
 
 @given(
@@ -452,12 +455,12 @@ CIRCUIT_READOUTS = {"swap": ((1, 2), (0, 3)), "purify": ((2, 3), (0, 1))}
     st.floats(0.5, 1.0, exclude_min=True),
 )
 def test_fused_readout_equals_readout_then_partial_trace(circuit, batch, seed, eta):
-    """One contraction over the measured qubits' diagonal blocks equals the
-    projections onto each pair of values (u, v) the qubits can read, weighted
-    by ``W[m1, u] * W[m2, v]`` for the reports (m1, m2), and a partial trace
-    that drops the qubits; for purification, summed over the branches whose
-    reports agree."""
-    measured, keep = CIRCUIT_READOUTS[circuit]
+    """One weighted sum of the measured qubits' gathered diagonal blocks
+    equals the projections onto each pair of values (u, v) the qubits can
+    read, weighted by ``W[m1, u] * W[m2, v]`` for the reports (m1, m2), and a
+    partial trace that drops the qubits; for purification, summed over the
+    branches whose reports agree."""
+    measured, keep, blocks = CIRCUIT_READOUTS[circuit]
     rng = np.random.default_rng(seed)
     batch = tuple(batch)
     states = np.stack([random_state(rng, 4) for _ in range(math.prod(batch))])
@@ -471,12 +474,11 @@ def test_fused_readout_equals_readout_then_partial_trace(circuit, batch, seed, e
     report = dmsim._report_matrix(eta)
     want = np.einsum("au,bv,...uvij->...abij", report, report, projected)
     if circuit == "swap":
-        got = dmsim._measure_and_discard(
-            states, measured, report[:, None, :, None] * report[None, :, None, :]
-        )
+        weights = report[:, None, :, None] * report[None, :, None, :]
+        got = dmsim._measure_and_discard(states, blocks, weights.reshape(2, 2, 4))
     else:
         want = want[..., (0, 1), (0, 1), :, :].sum(axis=-3)
-        got = dmsim._measure_and_discard(states, measured, report.T @ report)
+        got = dmsim._measure_and_discard(states, blocks, (report.T @ report).reshape(4))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= BATCH_TOL
 
@@ -499,9 +501,53 @@ def test_the_swap_recovery_is_one_channel(batch, seed, p1):
     z = np.stack([expand_operator(P, (1,), 2) for P in (np.eye(2), Z)])[:, None]
     x = np.stack([expand_operator(P, (1,), 2) for P in (np.eye(2), X)])
     want = channel(channel(pair, z, p1), x, p1)
-    got = dmsim._noisy(pair, dmsim._CORRECTIONS, (1,), p1 * p1)
+    got = dmsim._apply(pair, dmsim._CORRECTIONS, p1 * p1)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= BATCH_TOL
+
+
+#: Each noisy gate of the circuits, the qubits it acts on, and the gate
+#: before embedding, or the stack of recoveries indexed by the reported bits.
+CIRCUIT_GATES = {
+    "cnot 1-2": (dmsim._CNOT_12, (1, 2), CNOT),
+    "cnot 0-2": (dmsim._CNOT_02, (0, 2), CNOT),
+    "cnot 1-3": (dmsim._CNOT_13, (1, 3), CNOT),
+    "recovery": (dmsim._CORRECTIONS, (1,),
+                 np.array([[x @ z for x in (np.eye(2), X)] for z in (np.eye(2), Z)])),
+}
+
+
+@given(
+    st.sampled_from(sorted(CIRCUIT_GATES)),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.booleans(),
+    seeds,
+    st.floats(0.0, 1.0),
+)
+def test_circuit_gates_equal_the_per_call_kernels(name, batch, branches, seed, p):
+    """A circuit gate's constant maps give what the per-call path gives: its
+    failure equals :func:`dmsim._depolarized`, and the whole channel equals
+    :func:`dmsim._noisy` on the stack and the public ``apply_*_noisy`` on
+    each matrix.  The recovery always carries the swap's report axes; the
+    other gates have them when ``branches`` is set."""
+    gate, targets, small = CIRCUIT_GATES[name]
+    n = dmsim._qubits(gate[0])
+    batch = tuple(batch) + ((2, 2) if branches or small.ndim > 2 else ())
+    rng = np.random.default_rng(seed)
+    states = np.stack([random_state(rng, n) for _ in range(math.prod(batch))])
+    states = states.reshape(batch + states.shape[-2:])
+    assert np.max(np.abs(
+        dmsim._apply(states, gate, 0.0) - dmsim._depolarized(states, targets)
+    )) <= BATCH_TOL
+    got = dmsim._apply(states, gate, p)
+    assert np.max(np.abs(got - dmsim._noisy(states, gate[0], targets, p))) <= BATCH_TOL
+    ops = np.broadcast_to(small, batch + small.shape[-2:])
+    for index in np.ndindex(batch):
+        if len(targets) == 1:
+            want = apply_one_qubit_noisy(states[index], targets[0], ops[index], p)
+        else:
+            want = apply_two_qubit_noisy(states[index], targets, ops[index], p)
+        assert np.max(np.abs(got[index] - want)) <= BATCH_TOL
 
 
 #: Values a key is tried with besides its in-range ones: the edges of the
