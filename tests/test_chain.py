@@ -369,6 +369,27 @@ def test_the_walk_refuses_a_pair_count_where_it_builds_it():
         sys.set_int_max_str_digits(limit)
 
 
+def test_the_walk_refuses_a_pair_count_built_by_a_swap():
+    # Level 1 ends at 2**14287, the largest count the walk hands on at 4,300
+    # digits; level 2's swap doubles it past that.
+    cfg = ChainConfig(l=2, n=2, link=LinkModel(), epp_rounds_per_level=14286)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    seen = []
+    try:
+        with pytest.raises(OverflowError, match=r"about 2\*\*14289 has more than 4300 digits"):
+            for step in chain_module._walk(cfg, IDEAL, MemoryModel.none()):
+                seen.append((step.level, step.stage))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert seen[-1] == (1, "after_epp")
+
+
+def test_expected_attempts_past_the_float_range_of_m_is_infinite():
+    cfg = ChainConfig(l=2, n=1, link=LINK, m=10**400, epp_rounds_per_level=1)
+    assert expected_attempts(cfg, IDEAL, MemoryModel.none()) == math.inf
+
+
 @pytest.mark.parametrize("name", ["purify_noisy", "swap_chain_fidelity", "memory_decay"])
 def test_every_walk_reader_sees_a_map_rebound_in_chain(monkeypatch, name):
     # A profiler or a test double replaces a map by rebinding the name the

@@ -22,43 +22,11 @@ from repeaterlab import (
 from repeaterlab.cli import main
 from repeaterlab.dmsim import ORACLE_TOLERANCE
 
-BASELINE_INI = """\
-# nested doubling chain, no purification, lossy memory
-[chain]
-l = 2
-n = 8
-epp_rounds_per_level = 0
-
-[link]
-d_km = 25.0
-f0 = 0.96
-c_signal_km_s = 3e5   # inline comments are allowed
-
-[gates]
-p1 = 0.999
-p2 = 0.99
-eta = 0.995
-
-[memory]
-mode = exponential
-tau_s = 5e-3
-"""
-
-TRACE_INI = """\
-[chain]
-l = 2
-n = 4
-epp_rounds_per_level = 1
-
-[gates]
-p1 = 0.999
-p2 = 0.99
-eta = 0.995
-
-[memory]
-mode = exponential
-tau_s = 0.01
-"""
+GOLDEN = Path(__file__).resolve().parent / "golden"
+#: A nested doubling chain with lossy memory, and a purifying one; the golden
+#: output matrix runs every subcommand on each of them too.
+BASELINE_INI = (GOLDEN / "baseline.ini").read_text(encoding="utf-8")
+TRACE_INI = (GOLDEN / "trace.ini").read_text(encoding="utf-8")
 
 
 def run_cli(capsys, *argv):

@@ -49,6 +49,26 @@ def test_bell_states_orthonormal():
         assert overlap == pytest.approx(1.0 if a is b else 0.0, abs=1e-15)
 
 
+def test_bell_state_is_a_writable_copy_of_its_projector():
+    for kind in BellKind:
+        rho = bell_state(kind)
+        assert np.array_equal(rho, np.outer(kind.vector, kind.vector))
+        rho[0, 0] = 7.0
+        assert bell_state(kind)[0, 0] != 7.0
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 2, 2)])
+def test_num_qubits_refuses_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        dmsim.num_qubits(np.zeros(shape))
+
+
+def test_fidelity_to_bell_refuses_a_state_that_is_not_two_qubits():
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="expects a two-qubit state"):
+            fidelity_to_bell(np.eye(2**n) / 2**n)
+
+
 def test_werner_state_spectrum_and_fidelity():
     for f in (0.3, 0.6, 0.85, 1.0):
         rho = werner_state(f)

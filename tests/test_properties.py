@@ -37,6 +37,7 @@ from repeaterlab import (
     map_deviations,
     measure_noisy,
     memory_decay,
+    partial_trace,
     purification_fixed_points,
     purify_noisy,
     purify_success_probability,
@@ -353,6 +354,30 @@ def test_measurement_branches_match_projector_reference(case, eta):
         assert np.max(np.abs(b.state - state)) <= KERNEL_TOL
 
 
+def traced_out(rho: np.ndarray, qubits) -> np.ndarray:
+    """Reference partial trace of each matrix of ``rho``: the ``qubits`` are
+    traced out one row/column axis pair at a time, highest first, by
+    ``np.trace``; the other qubits keep their order."""
+    batch = rho.shape[:-2]
+    n = num_qubits(rho.reshape((-1,) + rho.shape[-2:])[0])
+    tensor = rho.reshape(batch + (2,) * (2 * n))
+    for left, q in enumerate(sorted(qubits, reverse=True), start=1):
+        row = len(batch) + q
+        tensor = np.trace(tensor, axis1=row, axis2=row + n - left + 1)
+    dim = 2 ** (n - len(qubits))
+    return tensor.reshape(batch + (dim, dim))
+
+
+@given(st.integers(1, 5), seeds)
+def test_partial_trace_matches_the_axis_pair_reference(n, seed):
+    rho = random_state(np.random.default_rng(seed), n)
+    for size in range(n + 1):
+        for keep in itertools.combinations(range(n), size):
+            traced = [q for q in range(n) if q not in keep]
+            got = partial_trace(rho, keep)
+            assert np.max(np.abs(got - traced_out(rho, traced))) <= KERNEL_TOL, keep
+
+
 @given(st.integers(1, 5), st.data())
 def test_depolarized_matches_kron_reference(n, data):
     rng = np.random.default_rng(data.draw(seeds))
@@ -360,14 +385,10 @@ def test_depolarized_matches_kron_reference(n, data):
     k = data.draw(st.integers(1, n))
     targets = tuple(data.draw(st.permutations(range(n)))[:k])
     keep = [q for q in range(n) if q not in targets]
-    # Reference: trace the targets out one row/column axis pair at a time,
-    # put I/2^k on as the last tensor factors, then let each slot take the
-    # axis of the qubit that owns it.
-    reduced = rho.reshape((2,) * (2 * n))
-    for left, q in enumerate(sorted(targets, reverse=True), start=1):
-        reduced = np.trace(reduced, axis1=q, axis2=q + n - left + 1)
+    # Reference: trace the targets out, put I/2^k on as the last tensor
+    # factors, then let each slot take the axis of the qubit that owns it.
     dim = 2 ** len(keep)
-    grown = np.kron(reduced.reshape(dim, dim), np.eye(2**k) / 2**k)
+    grown = np.kron(traced_out(rho, targets), np.eye(2**k) / 2**k)
     owner = keep + sorted(targets)
     src = [owner.index(q) for q in range(n)]
     expected = grown.reshape((2,) * (2 * n)).transpose(src + [s + n for s in src])
@@ -440,11 +461,11 @@ def test_kernels_on_a_stack_equal_the_kernels_slice_by_slice(case):
             assert np.max(np.abs(g - w)) <= BATCH_TOL, name
 
 
-#: The station qubits each circuit reads out and discards, the pair it
-#: keeps, and where the circuit gathers the measured qubits' diagonal blocks.
+#: The station qubits each circuit reads out and discards, and where the
+#: circuit gathers their diagonal blocks.
 CIRCUIT_READOUTS = {
-    "swap": ((1, 2), (0, 3), dmsim._SWAP_BLOCKS),
-    "purify": ((2, 3), (0, 1), dmsim._PURIFY_BLOCKS),
+    "swap": ((1, 2), dmsim._SWAP_BLOCKS),
+    "purify": ((2, 3), dmsim._PURIFY_BLOCKS),
 }
 
 
@@ -460,7 +481,7 @@ def test_fused_readout_equals_readout_then_partial_trace(circuit, batch, seed, e
     read, weighted by ``W[m1, u] * W[m2, v]`` for the reports (m1, m2), and a
     partial trace that drops the qubits; for purification, summed over the
     branches whose reports agree."""
-    measured, keep, blocks = CIRCUIT_READOUTS[circuit]
+    measured, blocks = CIRCUIT_READOUTS[circuit]
     rng = np.random.default_rng(seed)
     batch = tuple(batch)
     states = np.stack([random_state(rng, 4) for _ in range(math.prod(batch))])
@@ -470,7 +491,7 @@ def test_fused_readout_equals_readout_then_partial_trace(circuit, batch, seed, e
         [expand_operator(np.kron(np.outer(u, u), np.outer(v, v)), measured, 4) for v in values]
         for u in values
     ])
-    projected = dmsim._partial_trace(projectors @ states[..., None, None, :, :] @ projectors, keep)
+    projected = traced_out(projectors @ states[..., None, None, :, :] @ projectors, measured)
     report = dmsim._report_matrix(eta)
     want = np.einsum("au,bv,...uvij->...abij", report, report, projected)
     if circuit == "swap":

@@ -226,6 +226,12 @@ def test_rate_point_and_curve_validation():
             RateCurve("x", points)
 
 
+def test_a_curve_reads_its_distances_and_rates_in_point_order():
+    curve = curve_from_fn(lambda d: 1.0 / d, (50.0, 100.0, 200.0))
+    assert curve.distances == (50.0, 100.0, 200.0)
+    assert curve.rates == (0.02, 0.01, 0.005)
+
+
 def test_sweep_rates_structure():
     link = LinkModel(d_km=25.0, f0=0.96, c_signal_km_s=3e5)
     cfg = ChainConfig(l=2, n=8, link=link, epp_rounds_per_level=0)
