@@ -17,17 +17,25 @@ type promotion keeps their results complex.
 
 Gates act as ``U rho U^H`` with ``U`` the full ``2^n x 2^n`` embedded
 operator, by two matrix products that broadcast over the batch axes and
-over a stack of operators; a failed gate leaves its targets maximally mixed
-in place.  Readout follows one rule, the report matrix ``W[m, v]`` (eta if
-the reported m is the value v found, else 1 - eta): the branch of report m
-is ``sum_v W[m, v] P_v rho P_v`` (:func:`measure_noisy`), ``P_v`` the
-projector ``|v><v|`` on the measured qubit; its trace is its probability.
-The public primitives embed their operator and trace a failed gate's
-targets out by einsum on every call, since dense maps for n qubits grow as
-16^n.  The circuits act on fixed qubits and apply constant maps built at
-import (:func:`_circuit_gate`): each gate, its adjoint, and its failure as
-a partial trace and an ``I/2^k`` embedding, both the per-call kernels
-applied to the matrix basis.
+over a stack of operators.  Every other channel acts on the diagonal blocks
+of some qubits, and reads their flat positions from one table,
+:func:`_blocks` (row ``t``: the block where those qubits read the bits of
+``t``).  A partial trace sums the blocks of the qubits it drops.  A failed
+gate puts the mean of its targets' blocks back on each of them, leaving the
+targets maximally mixed in place, and zeroes the rest.  A readout weighs
+the block of each value v found by the report matrix ``W[m, v]`` (eta if
+the reported m is v, else 1 - eta), so the branch of report m is ``sum_v
+W[m, v] P_v rho P_v`` with ``P_v`` the projector ``|v><v|`` on the measured
+qubit (:func:`measure_noisy`); its trace is its probability.  The table is
+cached: 4^n int64 positions per ``(n, qubits)`` key, 32 KB at n = 6.
+
+The public primitives embed their operator and gather their blocks on every
+call, since dense maps for n qubits grow as 16^n.  The circuits act on fixed
+qubits and apply constant maps built at import (:func:`_circuit_gate`): each
+gate, its adjoint, and its failure as two dense maps on the flattened state,
+built from the same table.  A failure is then two small matrix products;
+gathering the blocks on every call instead ran the ``oracle_grid``
+benchmark about 9% slower (2-core machine).
 
 A circuit is one straight-line pass over a batch.  A readout puts the
 reported outcome on a new axis just before the matrix axes and leaves the
@@ -46,7 +54,7 @@ The public primitives check their arguments on every call, and refuse a
 state with a NaN or infinite entry; the circuits take a gate set that
 checked itself when it was built, and their qubit positions are literals.
 The Bell vectors and their projectors are built once, at import, and are
-read-only, as are ``I2``, the value projectors and the circuits' maps.
+read-only, as are ``I2``, every :func:`_blocks` table and the circuits' maps.
 """
 
 from __future__ import annotations
@@ -96,13 +104,8 @@ _BELL_VECTORS = {
     BellKind.PSI_MINUS: np.array([0, 1, -1, 0], dtype=float) * _SQRT_HALF,
 }
 _BELL_PROJECTORS = {kind: np.outer(v, v) for kind, v in _BELL_VECTORS.items()}
-#: ``_VALUE_PROJECTORS[v]`` is ``|v><v|``, the projection of a qubit found in v.
-_VALUE_PROJECTORS = np.stack([np.diag(v) for v in np.eye(2)])
 # The kernels use these without copying, so none of them may change.
-for _constant in (
-    I2, _VALUE_PROJECTORS,
-    *_BELL_VECTORS.values(), *_BELL_PROJECTORS.values(),
-):
+for _constant in (I2, *_BELL_VECTORS.values(), *_BELL_PROJECTORS.values()):
     _constant.flags.writeable = False
 del _constant
 
@@ -196,9 +199,9 @@ def _check_targets(shape: tuple[int, ...] | None, positions, n: int) -> None:
     k = len(positions)
     if shape is not None and shape != (2**k, 2**k):
         raise ValueError(f"operator shape {shape} does not match {k} qubits")
-    # Negative indices are rejected too: an einsum subscript or slice would
-    # silently read ``-1`` as the last qubit.  A bool is no qubit index, as it
-    # is no number anywhere in the package.  Only ints reach the set.
+    # Negative indices are rejected too: an axis index would silently read
+    # ``-1`` as the last qubit.  A bool is no qubit index, as it is no number
+    # anywhere in the package.  Only ints reach the set.
     if not all(
         isinstance(q, numbers.Integral) and not isinstance(q, bool) and 0 <= q < n
         for q in positions
@@ -251,44 +254,43 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return _partial_trace(rho, keep)
 
 
+@functools.lru_cache(maxsize=None)
+def _blocks(n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Row ``t``: the flat positions, in a ``2^n x 2^n`` state, of the
+    diagonal block where the sorted ``qubits`` read the bits of ``t``
+    (``qubits[0]`` the leading bit), in row-major order of the block."""
+    # basis[t, a]: the basis state where ``qubits`` read t and the rest a.
+    rest = [q for q in range(n) if q not in qubits]
+    basis = np.arange(1 << n).reshape((2,) * n).transpose([*qubits, *rest])
+    basis = basis.reshape(1 << len(qubits), -1)
+    return _read_only(((basis[:, :, None] << n) + basis[:, None, :]).reshape(len(basis), -1))
+
+
 def _partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """The reduced states on the sorted qubits ``keep``, for each matrix of ``rho``."""
+    """The reduced states on the sorted qubits ``keep``, for each matrix of
+    ``rho``: the sum of the other qubits' diagonal blocks."""
     n = _qubits(rho)
-    batch = rho.shape[:-2]
-    reduced = np.einsum(_trace_subscripts(n, keep), rho.reshape(batch + (2,) * (2 * n)))
-    dim = 1 << len(keep)
-    return np.ascontiguousarray(reduced.reshape(batch + (dim, dim)))
+    blocks = _blocks(n, tuple(q for q in range(n) if q not in keep))
+    batch, dim = rho.shape[:-2], 1 << len(keep)
+    return _block_sum(rho.reshape(batch + (-1,)), blocks).reshape(batch + (dim, dim))
 
 
-@functools.lru_cache(maxsize=None)
-def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
-    """Einsum subscripts of :func:`_partial_trace` keeping the sorted ``keep``."""
-    rows = [chr(ord("a") + q) for q in range(n)]
-    cols = [rows[q].upper() if q in keep else rows[q] for q in range(n)]
-    out = "".join(rows[q] for q in keep) + "".join(rows[q].upper() for q in keep)
-    return "..." + "".join(rows) + "".join(cols) + "->..." + out
-
-
-@functools.lru_cache(maxsize=None)
-def _depolarizing_plan(n: int, targets: tuple[int, ...]):
-    """What :func:`_depolarized` needs for ``targets`` of ``n`` qubits: the
-    sorted qubits it keeps, the row and column axes of the reduced state
-    with a singleton in each target's slot, and ``I/2^k`` with its axes in
-    the targets' slots and singletons elsewhere."""
-    keep = tuple(q for q in range(n) if q not in targets)
-    split = tuple(1 if q in targets else 2 for q in range(n)) * 2
-    k = n - len(keep)
-    fresh = np.eye(1 << k) / (1 << k)
-    fresh = fresh.reshape(tuple(2 if q in targets else 1 for q in range(n)) * 2)
-    return keep, split, _read_only(fresh)
+def _block_sum(flat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The sum of each flat state's blocks at ``blocks``, added in row order
+    as a running sum; ``sum`` would add the one-entry blocks of a full trace
+    pairwise, so that one case would round unlike the others."""
+    return flat.take(blocks, axis=-1).cumsum(axis=-2)[..., -1, :]
 
 
 def _depolarized(rho: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Each matrix of ``rho`` with the qubits ``targets`` replaced by
-    maximally mixed ones in place."""
-    keep, split, fresh = _depolarizing_plan(_qubits(rho), targets)
-    reduced = _partial_trace(rho, keep)
-    return (reduced.reshape(rho.shape[:-2] + split) * fresh).reshape(rho.shape)
+    maximally mixed ones in place: the mean of the targets' diagonal blocks
+    on each of them, and zero elsewhere."""
+    blocks = _blocks(_qubits(rho), tuple(sorted(targets)))
+    flat = rho.reshape(rho.shape[:-2] + (-1,))
+    mixed = np.zeros_like(flat)
+    mixed[..., blocks] = _block_sum(flat, blocks)[..., None, :] / len(blocks)
+    return mixed.reshape(rho.shape)
 
 
 def _noisy(
@@ -305,16 +307,14 @@ def _noisy(
 
 
 def _circuit_gate(op: np.ndarray, targets: tuple[int, ...]) -> tuple:
-    """``(op, adjoint, trace, fresh)`` of the embedded real ``op`` (or a stack) on
-    ``targets``: the failure maps are :func:`_trace_subscripts`' partial trace and
-    :func:`_depolarized`'s last step applied to the matrix basis, indexed last (faster)."""
-    n = _qubits(op)
-    keep, split, fresh = _depolarizing_plan(n, targets)
-    state, out = _trace_subscripts(n, keep).split("->...")
-    basis = np.eye(4**n, dtype=np.uint8).reshape((2,) * (4 * n))
-    trace = np.einsum(f"{state[3:]}...->{out}...", basis).reshape(-1, 4**n)
-    fresh = (np.eye(4 ** len(keep)).reshape(split + (-1,)) * fresh[..., None]).reshape(4**n, -1)
-    maps = (op, op.swapaxes(-1, -2), trace.T, fresh.T)
+    """``(op, adjoint, trace, fresh)`` of the embedded real ``op`` (or a stack)
+    on the sorted ``targets``: the failure maps act on the flat state, ``trace``
+    summing the targets' diagonal blocks (:func:`_partial_trace`) and ``fresh``
+    putting ``1/2^k`` of the result on each of them (:func:`_depolarized`)."""
+    blocks = _blocks(_qubits(op), targets)
+    trace = np.zeros((op.shape[-1] ** 2, blocks.shape[1]))
+    trace[blocks, np.arange(blocks.shape[1])] = 1.0
+    maps = (op, op.swapaxes(-1, -2), trace, trace.T / len(blocks))
     return tuple(_read_only(np.ascontiguousarray(m, dtype=float)) for m in maps)
 
 
@@ -375,25 +375,15 @@ def _report_matrix(eta: float) -> np.ndarray:
     return np.array([[eta, 1.0 - eta], [1.0 - eta, eta]])
 
 
-def _diagonal_blocks(measured: tuple[int, int], n: int) -> np.ndarray:
-    """Row ``2u + v``: the flat positions, in a ``2^n x 2^n`` state, of the
-    diagonal block where qubit ``measured[0]`` reads u and ``measured[1]`` v."""
-    keep = tuple(q for q in range(n) if q not in measured)
-    state, out = _trace_subscripts(n, keep).split("->...")
-    values = "".join(chr(ord("a") + q) for q in measured)
-    positions = np.arange(4**n).reshape((2,) * (2 * n))
-    return _read_only(np.einsum(f"{state}->{values}{out}", positions).reshape(4, -1))
-
-
 #: The station qubits each circuit reads out and discards.
-_SWAP_BLOCKS = _diagonal_blocks((1, 2), 4)
-_PURIFY_BLOCKS = _diagonal_blocks((2, 3), 4)
+_SWAP_BLOCKS = _blocks(4, (1, 2))
+_PURIFY_BLOCKS = _blocks(4, (2, 3))
 
 
 def _measure_and_discard(rho: np.ndarray, blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Read out two qubits and trace them out, for each matrix of ``rho``, by
     one product of ``weights[*reports, 2u + v]`` with the diagonal blocks
-    gathered at ``blocks`` (:func:`_diagonal_blocks`).
+    gathered at ``blocks`` (:func:`_blocks`).
 
     Returns the unnormalized states of the other qubits, shape ``batch +
     reports + (dim, dim)``.  With weights from :func:`_report_matrix`, each
@@ -417,9 +407,12 @@ def measure_noisy(rho: np.ndarray, target: int, eta: float) -> list[MeasurementB
     """
     _real("eta", eta, 0.5, 1.0, open_low=True)
     n = num_qubits(rho)
-    projectors = np.stack([expand_operator(P, (target,), n) for P in _VALUE_PROJECTORS])
+    _check_targets(None, (target,), n)
     _check_finite(rho)
-    states = np.tensordot(_report_matrix(eta), _conjugate(rho, projectors), axes=1)
+    # found[v] marks the target's value-v block, where it was found in v.
+    found = np.zeros((2, rho.size))
+    found[[[0], [1]], _blocks(n, (target,))] = 1.0
+    states = (_report_matrix(eta) @ found * rho.reshape(-1)).reshape((2,) + rho.shape)
     probabilities = np.trace(states, axis1=-2, axis2=-1).real
     return [
         MeasurementBranch(reported, prob, states[reported] / prob)
