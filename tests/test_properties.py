@@ -359,7 +359,7 @@ def traced_out(rho: np.ndarray, qubits) -> np.ndarray:
     traced out one row/column axis pair at a time, highest first, by
     ``np.trace``; the other qubits keep their order."""
     batch = rho.shape[:-2]
-    n = num_qubits(rho.reshape((-1,) + rho.shape[-2:])[0])
+    n = rho.shape[-1].bit_length() - 1
     tensor = rho.reshape(batch + (2,) * (2 * n))
     for left, q in enumerate(sorted(qubits, reverse=True), start=1):
         row = len(batch) + q
