@@ -564,10 +564,11 @@ def test_the_circuits_run_in_real_arithmetic():
 
 def test_the_circuits_constants_are_read_only():
     # The circuits apply their gates, failure maps and block positions
-    # without copying them.
+    # without copying them, in row order.
     constants = (*dmsim._CNOT_12, *dmsim._CNOT_02, *dmsim._CNOT_13, dmsim._H_1,
                  *dmsim._CORRECTIONS, dmsim._SWAP_BLOCKS, dmsim._PURIFY_BLOCKS)
     for constant in constants:
+        assert constant.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             constant[...] = 0
 
