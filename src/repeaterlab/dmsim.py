@@ -264,8 +264,8 @@ def _blocks(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     basis = np.arange(1 << n).reshape((2,) * n).transpose([*qubits, *rest])
     basis = basis.reshape(1 << len(qubits), -1)
     positions = ((basis[:, :, None] << n) + basis[:, None, :]).reshape(len(basis), -1)
-    # The sum follows the memory order of the transposed basis; a gather
-    # through a table in row order is faster.
+    # The sum follows the memory order of the transposed basis; the circuits
+    # gather through these tables on every cell, a little faster in row order.
     return _read_only(np.ascontiguousarray(positions))
 
 
@@ -279,10 +279,13 @@ def _partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 
 
 def _block_sum(flat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The sum of each flat state's blocks at ``blocks``, added in row order
-    as a running sum; ``sum`` would add the one-entry blocks of a full trace
-    pairwise, so that one case would round unlike the others."""
-    return flat.take(blocks, axis=-1).cumsum(axis=-2)[..., -1, :]
+    """The sum of each flat state's blocks at ``blocks``, added in row order.
+    ``sum`` adds the rows in order, unless each is one entry (a full trace):
+    it adds those pairwise, so a running sum takes that case instead."""
+    gathered = flat.take(blocks, axis=-1)
+    if blocks.shape[1] == 1:
+        return gathered.cumsum(axis=-2)[..., -1, :]
+    return gathered.sum(axis=-2)
 
 
 def _depolarized(rho: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
