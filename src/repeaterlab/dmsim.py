@@ -26,8 +26,9 @@ targets maximally mixed in place, and zeroes the rest.  A readout weighs
 the block of each value v found by the report matrix ``W[m, v]`` (eta if
 the reported m is v, else 1 - eta), so the branch of report m is ``sum_v
 W[m, v] P_v rho P_v`` with ``P_v`` the projector ``|v><v|`` on the measured
-qubit (:func:`measure_noisy`); its trace is its probability.  The table is
-cached: 4^n int64 positions per ``(n, qubits)`` key, 32 KB at n = 6.
+qubit (:func:`measure_noisy`); its trace is its probability.  The table of
+k of n qubits holds 4^n / 2^k int64 positions, at most 32 KB at n = 6; the
+last 64 ``(n, qubits)`` keys stay cached.
 
 The public primitives embed their operator and gather their blocks on every
 call, since dense maps for n qubits grow as 16^n.  The circuits act on fixed
@@ -254,7 +255,7 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return _partial_trace(rho, keep)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _blocks(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     """Row ``t``: the flat positions, in a ``2^n x 2^n`` state, of the
     diagonal block where the sorted ``qubits`` read the bits of ``t``
