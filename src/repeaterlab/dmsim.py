@@ -27,14 +27,13 @@ the block of each value v found by the report matrix ``W[m, v]`` (eta if
 the reported m is v, else 1 - eta), so the branch of report m is ``sum_v
 W[m, v] P_v rho P_v`` with ``P_v`` the projector ``|v><v|`` on the measured
 qubit (:func:`measure_noisy`); its trace is its probability.  The table of
-k of n qubits holds 4^n / 2^k int64 positions, at most 32 KB at n = 6; the
-last 64 ``(n, qubits)`` keys stay cached.
+k of n qubits holds 4^n / 2^k int64 positions.
 
-The public primitives embed their operator and gather their blocks on every
-call, since dense maps for n qubits grow as 16^n.  The circuits act on fixed
-qubits and apply constant maps built at import (:func:`_circuit_gate`): each
-gate, its adjoint, and its failure as two dense maps on the flattened state,
-built from the same table.  A failure is then two small matrix products;
+The public primitives embed their operator and build and gather their
+blocks on every call, since dense maps for n qubits grow as 16^n.  The
+circuits act on fixed qubits and apply constant maps built at import
+(:func:`_circuit_gate`): each gate, its adjoint, and its failure as two
+dense maps on the flattened state, built from the same table.  A failure is then two small matrix products;
 gathering the blocks on every call instead ran the ``oracle_grid``
 benchmark about 9% slower (2-core machine).
 
@@ -55,13 +54,12 @@ The public primitives check their arguments on every call, and refuse a
 state with a NaN or infinite entry; the circuits take a gate set that
 checked itself when it was built, and their qubit positions are literals.
 The Bell vectors and their projectors are built once, at import, and are
-read-only, as are ``I2``, every :func:`_blocks` table and the circuits' maps.
+read-only, as are ``I2`` and the circuits' block tables and maps.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 import sys
@@ -255,7 +253,6 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return _partial_trace(rho, keep)
 
 
-@functools.lru_cache(maxsize=64)
 def _blocks(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     """Row ``t``: the flat positions, in a ``2^n x 2^n`` state, of the
     diagonal block where the sorted ``qubits`` read the bits of ``t``
@@ -267,7 +264,7 @@ def _blocks(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     positions = ((basis[:, :, None] << n) + basis[:, None, :]).reshape(len(basis), -1)
     # The sum follows the memory order of the transposed basis; the circuits
     # gather through these tables on every cell, a little faster in row order.
-    return _read_only(np.ascontiguousarray(positions))
+    return np.ascontiguousarray(positions)
 
 
 def _partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -276,17 +273,8 @@ def _partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     n = _qubits(rho)
     blocks = _blocks(n, tuple(q for q in range(n) if q not in keep))
     batch, dim = rho.shape[:-2], 1 << len(keep)
-    return _block_sum(rho.reshape(batch + (-1,)), blocks).reshape(batch + (dim, dim))
-
-
-def _block_sum(flat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The sum of each flat state's blocks at ``blocks``, added in row order.
-    ``sum`` adds the rows in order, unless each is one entry (a full trace):
-    it adds those pairwise, so a running sum takes that case instead."""
-    gathered = flat.take(blocks, axis=-1)
-    if blocks.shape[1] == 1:
-        return gathered.cumsum(axis=-2)[..., -1, :]
-    return gathered.sum(axis=-2)
+    gathered = rho.reshape(batch + (-1,)).take(blocks, axis=-1)
+    return gathered.sum(axis=-2).reshape(batch + (dim, dim))
 
 
 def _depolarized(rho: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
@@ -296,7 +284,7 @@ def _depolarized(rho: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     blocks = _blocks(_qubits(rho), tuple(sorted(targets)))
     flat = rho.reshape(rho.shape[:-2] + (-1,))
     mixed = np.zeros_like(flat)
-    mixed[..., blocks] = _block_sum(flat, blocks)[..., None, :] / len(blocks)
+    mixed[..., blocks] = flat.take(blocks, axis=-1).mean(axis=-2, keepdims=True)
     return mixed.reshape(rho.shape)
 
 
@@ -383,8 +371,8 @@ def _report_matrix(eta: float) -> np.ndarray:
 
 
 #: The station qubits each circuit reads out and discards.
-_SWAP_BLOCKS = _blocks(4, (1, 2))
-_PURIFY_BLOCKS = _blocks(4, (2, 3))
+_SWAP_BLOCKS = _read_only(_blocks(4, (1, 2)))
+_PURIFY_BLOCKS = _read_only(_blocks(4, (2, 3)))
 
 
 def _measure_and_discard(rho: np.ndarray, blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
