@@ -76,8 +76,12 @@ def usefulness_weight(f: float, f_useful: float) -> float:
     zero exactly at the fully mixed state, instead of a hard step that would
     flatten every asymptotic-shape question into "rate is zero".
     """
-    f = validate_fidelity(f)
-    if f >= validate_fidelity(f_useful, "f_useful"):
+    return _usefulness(validate_fidelity(f), validate_fidelity(f_useful, "f_useful"))
+
+
+def _usefulness(f: float, f_useful: float) -> float:
+    """:func:`usefulness_weight` of fidelities already checked."""
+    if f >= f_useful:
         return 1.0
     return max(0.0, werner_weight(f)) ** 2
 
@@ -89,8 +93,8 @@ class RepeaterRate(NamedTuple):
 
 
 def _rates_at(end: TraceStep, f_useful: float) -> tuple[float, float]:
-    """Resource- and time-normalized rate of a chain whose trace ends at ``end``."""
-    s = 0.0 if end.degenerate else usefulness_weight(end.fidelity, f_useful)
+    """Both rates of a chain whose trace ends at ``end``, for a checked ``f_useful``."""
+    s = 0.0 if end.degenerate else _usefulness(end.fidelity, f_useful)
     try:
         rate_resource = s / end.pairs_consumed
     except OverflowError:  # a count past the float range: under 2**-1024 per pair
@@ -115,10 +119,10 @@ def repeater_rate(
     (truncated) trace yields rate 0 in both metrics, and so does the resource
     rate of an exact pair count past the float range.  A zero-latency run
     (n = 0) has no meaningful time normalization; its ``rate_time`` is
-    ``inf`` when the pair is useful at all.
+    ``inf`` when the pair is useful at all.  ``f_useful`` is checked first.
     """
-    if f_useful is None:
-        f_useful = purification_fixed_points(g).f_min
+    f_useful = (purification_fixed_points(g).f_min if f_useful is None
+                else validate_fidelity(f_useful, "f_useful"))
     for end in _steps(cfg, g, mem):
         pass
     return RepeaterRate(*_rates_at(end, f_useful), end.fidelity)
@@ -175,18 +179,16 @@ class ScalingFit(NamedTuple):
     exponential_goodness: float
 
 
-def _linear_fit_r2(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope of y on x and the R^2, clamped into [0, 1]."""
+def _linear_fit_r2(x: list[float], dy: list[float], ss_tot: float) -> tuple[float, float]:
+    """Least-squares slope on x of y, given as ``dy``, its offsets from its
+    mean, with ``ss_tot`` their sum of squares; and the R^2, clamped into [0, 1]."""
     x_mean = math.fsum(x) / len(x)
-    y_mean = math.fsum(y) / len(y)
     dx = [v - x_mean for v in x]
-    dy = [v - y_mean for v in y]
-    sxx = math.fsum(a * a for a in dx)
+    sxx = math.fsum([a * a for a in dx])
     if sxx == 0.0:
         raise InsufficientPointsError("points too close together to fit a slope")
-    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
-    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
-    ss_tot = math.fsum(b * b for b in dy)
+    slope = math.fsum([a * b for a, b in zip(dx, dy)]) / sxx
+    ss_res = math.fsum([(b - slope * a) ** 2 for a, b in zip(dx, dy)])
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-24 else 0.0
     else:
@@ -210,8 +212,11 @@ def scaling_fit(curve: RateCurve) -> ScalingFit:
         )
     d = [p.distance_km for p in points]
     log_rate = [math.log(p.rate) for p in points]
-    poly_slope, poly_r2 = _linear_fit_r2([math.log(v) for v in d], log_rate)
-    expo_slope, expo_r2 = _linear_fit_r2(d, log_rate)
+    mean = math.fsum(log_rate) / len(log_rate)
+    dy = [v - mean for v in log_rate]
+    ss_tot = math.fsum([b * b for b in dy])
+    poly_slope, poly_r2 = _linear_fit_r2([math.log(v) for v in d], dy, ss_tot)
+    expo_slope, expo_r2 = _linear_fit_r2(d, dy, ss_tot)
     degree = -poly_slope
     constant = -expo_slope
     if poly_r2 >= expo_r2:
@@ -228,21 +233,21 @@ def sweep_rates(
 ) -> list[RateCurve]:
     """Rate curves over chain depth for the three regimes under study.
 
-    For each depth in ``n_values`` (strictly ascending, each checked against
-    the one before it): direct transmission over the same total distance, the
-    repeater with a perfect memory, and the repeater with ``mem``.  Repeater
-    regimes yield one curve per metric; points whose rate is exactly zero
-    (degenerate chains, pair counts past the float range) are omitted, since
-    a rate curve carries only positive rates.  A depth whose total distance
-    is past the float range raises ``OverflowError``.
+    ``f_useful`` is checked first.  For each depth in ``n_values`` (strictly
+    ascending, each checked against the one before it): direct transmission
+    over the same total distance, the repeater with a perfect memory, and the
+    repeater with ``mem``.  Repeater regimes yield one curve per metric; points
+    whose rate is exactly zero (degenerate chains, pair counts past the float
+    range) are omitted, since a rate curve carries only positive rates.  A
+    depth whose total distance is past the float range raises ``OverflowError``.
 
     Levels nest and a level's latency does not depend on the depth, so each
     memory is walked once, to the deepest depth, keeping each level's last
     step, where a shallower chain ends; a perfect ``mem`` shares the ideal
     regime's walk.  Depths past a fully mixed stop get no repeater point.
     """
-    if f_useful is None:
-        f_useful = purification_fixed_points(g).f_min
+    f_useful = (purification_fixed_points(g).f_min if f_useful is None
+                else validate_fidelity(f_useful, "f_useful"))
     deepest = cfg._replace(n=n_values[-1] if n_values else 0)
     ideal = MemoryModel.none()
     walks = {m: {step.level: step for step in _steps(deepest, g, m)}

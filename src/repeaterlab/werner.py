@@ -10,6 +10,7 @@ Every number the package takes passes one rule, :func:`_real` or
 :func:`_integer`: a ``bool``, a non-number or a non-integer where an integer
 is needed raises ``TypeError``; NaN, an infinity, an int past the float
 range or a value out of range raises ``ValueError``.  Both name the parameter.
+Its common case, a float in (0, 1], :func:`validate_fidelity` returns at once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ def validate_fidelity(f: float, name: str = "f") -> float:
     Values outside [0, 1] by more than ``FIDELITY_TOL`` are rejected;
     anything closer is treated as accumulated floating-point error.
     """
+    if f.__class__ is float and 0.0 < f <= 1.0:
+        return f
     return min(1.0, max(0.0, _real(name, f, -FIDELITY_TOL, 1.0 + FIDELITY_TOL)))
 
 

@@ -213,19 +213,6 @@ def test_oracle_check_passes(capsys):
     assert all(v <= ORACLE_TOLERANCE for v in values.values())
 
 
-def test_oracle_check_stdout_is_frozen(capsys):
-    # The exact digits of the real-valued circuits that apply failed gates
-    # and readouts as constant maps; a change here means the circuits'
-    # rounding moved.
-    code, out, _ = run_cli(capsys, "oracle-check")
-    assert code == 0
-    assert out == (
-        "swap_max_deviation=8.881784197e-16\n"
-        "purify_max_deviation=3.33066907388e-16\n"
-        "purify_success_max_deviation=7.77156117238e-16\n"
-    )
-
-
 def test_oracle_check_catches_a_wrong_formula(capsys, monkeypatch):
     genuine = repeaterlab.werner.swap_chain_fidelity
 
@@ -270,58 +257,6 @@ def test_rate_sweep_fits_and_csv(capsys, tmp_path):
         "repeater_noisy_memory",
         "repeater_noisy_memory",
     ]
-
-
-BASELINE_RATE_SWEEP_STDOUT = (
-    "fit regime=direct metric=resource_normalized kind=exponential parameter=0.0460517018599 goodness=1\n"
-    "fit regime=repeater_ideal_memory metric=resource_normalized kind=exponential parameter=0.00699826827792 goodness=0.996719719946\n"
-    "fit regime=repeater_ideal_memory metric=time_normalized kind=exponential parameter=0.00701202504253 goodness=0.996473441457\n"
-    "fit regime=repeater_noisy_memory metric=resource_normalized kind=exponential parameter=0.0170325847857 goodness=0.99972984671\n"
-    "fit regime=repeater_noisy_memory metric=time_normalized kind=exponential parameter=0.0170638368685 goodness=0.999767698325\n"
-    "direct.resource_normalized.kind=exponential\n"
-    "direct.resource_normalized.parameter=0.0460517018599\n"
-    "direct.resource_normalized.goodness=1\n"
-    "direct.resource_normalized.polynomial_degree=76.3094339511\n"
-    "direct.resource_normalized.polynomial_goodness=0.820408163265\n"
-    "direct.resource_normalized.exponential_constant_per_km=0.0460517018599\n"
-    "direct.resource_normalized.exponential_goodness=1\n"
-    "repeater_ideal_memory.resource_normalized.kind=exponential\n"
-    "repeater_ideal_memory.resource_normalized.parameter=0.00699826827792\n"
-    "repeater_ideal_memory.resource_normalized.goodness=0.996719719946\n"
-    "repeater_ideal_memory.resource_normalized.polynomial_degree=11.8921691779\n"
-    "repeater_ideal_memory.resource_normalized.polynomial_goodness=0.859961308727\n"
-    "repeater_ideal_memory.resource_normalized.exponential_constant_per_km=0.00699826827792\n"
-    "repeater_ideal_memory.resource_normalized.exponential_goodness=0.996719719946\n"
-    "repeater_ideal_memory.time_normalized.kind=exponential\n"
-    "repeater_ideal_memory.time_normalized.parameter=0.00701202504253\n"
-    "repeater_ideal_memory.time_normalized.goodness=0.996473441457\n"
-    "repeater_ideal_memory.time_normalized.polynomial_degree=11.9265537053\n"
-    "repeater_ideal_memory.time_normalized.polynomial_goodness=0.861338034962\n"
-    "repeater_ideal_memory.time_normalized.exponential_constant_per_km=0.00701202504253\n"
-    "repeater_ideal_memory.time_normalized.exponential_goodness=0.996473441457\n"
-    "repeater_noisy_memory.resource_normalized.kind=exponential\n"
-    "repeater_noisy_memory.resource_normalized.parameter=0.0170325847857\n"
-    "repeater_noisy_memory.resource_normalized.goodness=0.99972984671\n"
-    "repeater_noisy_memory.resource_normalized.polynomial_degree=17.594358256\n"
-    "repeater_noisy_memory.resource_normalized.polynomial_goodness=0.861105573715\n"
-    "repeater_noisy_memory.resource_normalized.exponential_constant_per_km=0.0170325847857\n"
-    "repeater_noisy_memory.resource_normalized.exponential_goodness=0.99972984671\n"
-    "repeater_noisy_memory.time_normalized.kind=exponential\n"
-    "repeater_noisy_memory.time_normalized.parameter=0.0170638368685\n"
-    "repeater_noisy_memory.time_normalized.goodness=0.999767698325\n"
-    "repeater_noisy_memory.time_normalized.polynomial_degree=17.6376631417\n"
-    "repeater_noisy_memory.time_normalized.polynomial_goodness=0.862215462577\n"
-    "repeater_noisy_memory.time_normalized.exponential_constant_per_km=0.0170638368685\n"
-    "repeater_noisy_memory.time_normalized.exponential_goodness=0.999767698325\n"
-)
-
-
-def test_rate_sweep_baseline_stdout_golden(capsys, tmp_path):
-    cfg = write(tmp_path, "base.ini", BASELINE_INI)
-    code, out, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
-                             str(tmp_path / "rates.csv"))
-    assert (code, err) == (0, "")
-    assert out == BASELINE_RATE_SWEEP_STDOUT
 
 
 #: TRACE_INI's deepest chains end 1.0e-7 above 1/4 (6400 km, perfect memory)

@@ -41,6 +41,7 @@ from repeaterlab import (
     purification_fixed_points,
     purify_noisy,
     purify_success_probability,
+    repeater_rate,
     resource_count,
     round_time,
     simulate_chain,
@@ -55,6 +56,7 @@ from repeaterlab import (
 from repeaterlab.cli import _SECTION_KEYS, main
 from repeaterlab import chain, dmsim
 from repeaterlab.dmsim import CNOT, ORACLE_TOLERANCE, H, X, Z, num_qubits
+from repeaterlab.werner import FIDELITY_TOL, _real
 from test_werner import ABOVE_FLOOR_GATES, BASELINE
 
 #: Rounding slack of an order comparison only: the maps stay in [1/4, 1]
@@ -796,6 +798,14 @@ NUMERIC_PARAMETERS = {
     "usefulness_weight.f": ("f", lambda v: usefulness_weight(v, 0.5), physical),
     "usefulness_weight.f_useful": (
         "f_useful", lambda v: usefulness_weight(0.9, v), physical),
+    "sweep_rates.f_useful": (
+        "f_useful", lambda v: sweep_rates(CHAIN, NOISY, MemoryModel.none(), [1, 2], v),
+        lambda curves: all(
+            physical(p.rate) for c in curves for p in c.points
+            if p.metric == "resource_normalized")),
+    "repeater_rate.f_useful": (
+        "f_useful", lambda v: repeater_rate(CHAIN, NOISY, MemoryModel.none(), v),
+        lambda r: physical(r.rate_resource) and 0.0 <= r.rate_time < math.inf),
     "RatePoint.distance_km": (
         "distance_km", lambda v: RatePoint(v, 1.0, "resource_normalized"),
         a_float_field("distance_km")),
@@ -867,3 +877,50 @@ def test_every_number_the_api_takes_gets_an_answer_or_a_named_error(site, value)
         assert re.search(rf"\b{parameter}\b", str(exc)), f"{type(exc).__name__}: {exc}"
     else:
         assert invariant(result), result
+
+
+class _FloatSubclass(float):
+    """A float that is not exactly a ``float``, as a numpy scalar is not."""
+
+
+def _outcome(check, value):
+    """What ``check(value)`` gives: its type, value and sign, or its error."""
+    try:
+        result = check(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(result), result, math.copysign(1.0, result)
+
+
+@given(st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.floats().map(_FloatSubclass)))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308 / 3)
+@example(1.0)
+@example(math.nextafter(1.0, math.inf))
+@example(1.0 + FIDELITY_TOL)
+@example(math.nextafter(1.0 + FIDELITY_TOL, math.inf))
+@example(1.0 - FIDELITY_TOL)
+@example(-FIDELITY_TOL)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0)
+@example(1)
+@example(10**400)
+@example(True)
+@example(False)
+@example(_FloatSubclass(0.5))
+@example(_FloatSubclass(1.0))
+@example(_FloatSubclass(-0.0))
+def test_validate_fidelity_answers_as_the_numeric_rule_does(value):
+    """The in-range fast path of ``validate_fidelity`` gives, on every
+    input, the value, type and sign of zero, or the error type and message,
+    of the rule it shortcuts: clamp what ``_real`` accepts into [0, 1]."""
+    def rule(f):
+        return min(1.0, max(0.0, _real("f", f, -FIDELITY_TOL, 1.0 + FIDELITY_TOL)))
+
+    assert _outcome(validate_fidelity, value) == _outcome(rule, value)

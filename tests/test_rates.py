@@ -103,6 +103,24 @@ def test_repeater_rate_degenerate_chain_is_worthless():
     assert rr.rate_time == 0.0
 
 
+@pytest.mark.parametrize("f_useful, error", [
+    (1.5, ValueError), (math.nan, ValueError), (True, TypeError), ("0.9", TypeError),
+])
+def test_a_bad_f_useful_is_refused_on_entry(f_useful, error):
+    """Even where no walk end is scored: a chain fully mixed at level 1, or
+    a sweep over no depths."""
+    cfg = ChainConfig(l=2, n=1, link=LinkModel(), epp_rounds_per_level=0)
+    mem = MemoryModel.exponential(1e-7)
+    assert [s.degenerate for s in _steps(cfg, BASELINE, mem)] == [False, False, True]
+    for call in (
+        lambda: repeater_rate(cfg, BASELINE, mem, f_useful),
+        lambda: sweep_rates(cfg, BASELINE, mem, [1], f_useful),
+        lambda: sweep_rates(cfg, BASELINE, mem, [], f_useful),
+    ):
+        with pytest.raises(error, match=r"\bf_useful\b"):
+            call()
+
+
 def test_threshold_infinite_without_memory_noise():
     cfg = ChainConfig(l=2, n=8, link=LinkModel(), epp_rounds_per_level=1)
     th = threshold_distance(cfg, BASELINE, MemoryModel.none())

@@ -102,6 +102,10 @@ def test_validate_fidelity():
     # tiny numerical overshoot is clamped, genuine violations are not
     assert validate_fidelity(1.0 + 5e-13) == 1.0
     assert validate_fidelity(-5e-13) == 0.0
+    # ... but only within FIDELITY_TOL (1e-12) of the interval
+    for beyond in (1.0 + 2e-12, -2e-12):
+        with pytest.raises(ValueError, match=r"\[-1e-12, 1\.000000000001\]"):
+            validate_fidelity(beyond)
     with pytest.raises(ValueError):
         validate_fidelity(1.01)
     with pytest.raises(ValueError):
@@ -248,6 +252,17 @@ def test_fixed_points_perfect_two_qubit_gates_pin_the_top(eta):
     # only the pure state is left and the interval closes onto it.
     fp = purification_fixed_points(GateNoiseParams(p1=1.0, p2=1.0, eta=eta))
     assert (fp.f_min, fp.f_max, fp.marginal) == (1.0, 1.0, True)
+
+
+def test_fixed_points_one_ulp_from_a_tangency_are_not_marginal():
+    # One ulp of p2 above the tangency at eta = 0.99 opens the roots 1.9e-8
+    # apart, which is as close as distinct roots come here: apart by more
+    # than the 1e-9 that marks a merged pair.
+    fp = purification_fixed_points(GateNoiseParams(p1=1.0, p2=0.9542903459463078, eta=0.99))
+    assert 1e-8 < fp.f_max - fp.f_min < 1e-7
+    assert not fp.marginal
+    with pytest.raises(NoValidRangeError):
+        purification_fixed_points(GateNoiseParams(p1=1.0, p2=0.9542903459463077, eta=0.99))
 
 
 def test_fixed_points_are_roots_of_the_full_residual():
