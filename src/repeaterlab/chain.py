@@ -137,7 +137,12 @@ def round_time(x: int, cfg: ChainConfig) -> float:
     ``c_epp`` of them for outcome comparison.  Raises ``OverflowError`` when
     the span or the latency is not a finite float.
     """
-    span_km = cfg.span_km(_integer("level", x, 1, cfg.n))
+    return _round_time(_integer("level", x, 1, cfg.n), cfg)
+
+
+def _round_time(x: int, cfg: ChainConfig) -> float:
+    """:func:`round_time` of a level already checked."""
+    span_km = cfg.span_km(x)
     if math.isfinite(span_km):
         messages = cfg.c_es + cfg.c_epp * cfg.epp_rounds_per_level
         latency = messages * classical_comm_time(span_km, cfg.link)
@@ -185,7 +190,7 @@ class FidelityTrace(_Record):
         return self.steps[-1].pairs_consumed
 
 
-def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
+def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel, floor: bool = False):
     """Yield every stage of the protocol as a ``TraceStep``.
 
     Per level, in order: the swap update over ``l`` segments, memory decay
@@ -193,40 +198,53 @@ def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
     perfect), then each purification round.  Pair accounting is cumulative:
     a swap multiplies consumption by ``l``, each purification round by ``m``.
     A count a digit or more past what ``str`` prints raises ``OverflowError``
-    where it is built.  The walk never stops early; :func:`_steps` cuts it at
-    the fully mixed floor.
+    where it is built.  With ``floor`` the walk stops right after the first
+    degenerate step, at the fully mixed floor; without it, it never stops
+    early.  The maps are looked up in this module once per walk, as it
+    starts, so a map rebound before a walk is the one that walk calls.
     """
+    swap, decay, purify, make = swap_chain_fidelity, memory_decay, purify_noisy, TraceStep._make
+    l, m, rounds = cfg.l, cfg.m, range(cfg.epp_rounds_per_level)
     limit = sys.get_int_max_str_digits()
     # 2**max_bits >= 10**(limit + 1); a longer count has limit + 2 digits.
     max_bits = math.ceil((limit + 1) * math.log2(10)) if limit else math.inf
     f = cfg.link.f0
     elapsed = 0.0
     pairs = 1
-    yield TraceStep(0, "init", f, elapsed, pairs)
+    step = make((0, "init", f, elapsed, pairs))
+    yield step
+    if floor and step.degenerate:
+        return
     for x in range(1, cfg.n + 1):
-        f = swap_chain_fidelity(f, cfg.l, g)
-        pairs *= cfg.l
+        f = swap(f, l, g)
+        pairs *= l
         if pairs.bit_length() > max_bits:
             raise _too_long(pairs.bit_length())
-        yield TraceStep(x, "after_es", f, elapsed, pairs)
-        dt = round_time(x, cfg)
-        f = memory_decay(f, dt, mem)
+        step = make((x, "after_es", f, elapsed, pairs))
+        yield step
+        if floor and step.degenerate:
+            return
+        dt = _round_time(x, cfg)
+        f = decay(f, dt, mem)
         elapsed += dt
-        yield TraceStep(x, "after_memory", f, elapsed, pairs)
-        for _ in range(cfg.epp_rounds_per_level):
-            f = purify_noisy(f, g)
-            pairs *= cfg.m
+        step = make((x, "after_memory", f, elapsed, pairs))
+        yield step
+        if floor and step.degenerate:
+            return
+        for _ in rounds:
+            f = purify(f, g)
+            pairs *= m
             if pairs.bit_length() > max_bits:
                 raise _too_long(pairs.bit_length())
-            yield TraceStep(x, "after_epp", f, elapsed, pairs)
+            step = make((x, "after_epp", f, elapsed, pairs))
+            yield step
+            if floor and step.degenerate:
+                return
 
 
 def _steps(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel):
     """The walk's ``TraceStep``s, up to and including the first degenerate one."""
-    for step in _walk(cfg, g, mem):
-        yield step
-        if step.degenerate:
-            return
+    return _walk(cfg, g, mem, floor=True)
 
 
 def simulate_chain(
@@ -308,15 +326,16 @@ def expected_attempts(
     range, which it does before the walk's pair count grows too long to
     print: the attempts are never fewer than the pairs.
     """
+    l, m, success = cfg.l, cfg.m, purify_success_probability
     transmission = link_success_probability(cfg.link.d_km, cfg.link)
     attempts = 1.0 / transmission if transmission > 0.0 else math.inf
     f = cfg.link.f0
     for step in _walk(cfg, g, mem):
         if step.stage == "after_es":
-            attempts *= cfg.l
+            attempts *= l
         elif step.stage == "after_epp":
             try:
-                attempts *= cfg.m / purify_success_probability(f, g)
+                attempts *= m / success(f, g)
             except OverflowError:  # an m past the float range
                 return math.inf
         if attempts == math.inf:

@@ -9,7 +9,6 @@ of protocol latency.  Every curve point carries its metric label.
 from __future__ import annotations
 
 import math
-from itertools import pairwise
 from typing import NamedTuple, Sequence
 
 from .chain import ChainConfig, TraceStep, _steps
@@ -53,9 +52,13 @@ class RateCurve(_Record):
     __slots__ = ("regime", "points")
 
     def __init__(self, regime: str, points: tuple[RatePoint, ...]) -> None:
-        # Written as "not a < b" so that a NaN distance fails it too.
-        if not all(a.distance_km < b.distance_km for a, b in pairwise(points)):
-            raise ValueError("curve distances must increase strictly")
+        if points:
+            previous = points[0].distance_km
+            for point in points[1:]:
+                # Written as "not a < b" so that a NaN distance fails it too.
+                if not previous < point.distance_km:
+                    raise ValueError("curve distances must increase strictly")
+                previous = point.distance_km
         _setattr(self, "regime", regime)
         _setattr(self, "points", points)
 
@@ -249,13 +252,12 @@ def sweep_rates(
     f_useful = (purification_fixed_points(g).f_min if f_useful is None
                 else validate_fidelity(f_useful, "f_useful"))
     deepest = cfg._replace(n=n_values[-1] if n_values else 0)
-    ideal = MemoryModel.none()
-    walks = {m: {step.level: step for step in _steps(deepest, g, m)}
-             for m in dict.fromkeys((ideal, mem))}
-    regimes = (
-        ("repeater_ideal_memory", walks[ideal]), ("repeater_noisy_memory", walks[mem])
-    )
-    points: dict[tuple[str, str], list[RatePoint]] = {key: [] for key in CURVES}
+    ideal = {step.level: step for step in _steps(deepest, g, MemoryModel.none())}
+    noisy = (ideal if mem.mode == "none"
+             else {step.level: step for step in _steps(deepest, g, mem)})
+    points = [[] for _ in CURVES]
+    direct, ideal_resource, ideal_time, noisy_resource, noisy_time = points
+    regimes = ((ideal, ideal_resource, ideal_time), (noisy, noisy_resource, noisy_time))
     previous = -math.inf
     for n in n_values:
         if _integer("n", n, 0) <= previous:
@@ -266,15 +268,16 @@ def sweep_rates(
             raise OverflowError(f"depth {n}: total distance is past the float range")
         direct_rate = link_success_probability(distance, cfg.link)
         if direct_rate > 0.0:
-            points["direct", "resource_normalized"].append(
-                RatePoint(distance, direct_rate, "resource_normalized")
-            )
-        for regime, ends in regimes:
-            values = _rates_at(ends[n], f_useful) if n in ends else ()
-            for metric, value in zip(METRICS, values):
-                if value > 0.0 and math.isfinite(value):
-                    points[(regime, metric)].append(RatePoint(distance, value, metric))
-    return [RateCurve(regime, tuple(pts)) for (regime, _), pts in points.items()]
+            direct.append(RatePoint(distance, direct_rate, "resource_normalized"))
+        for ends, resource, timed in regimes:
+            end = ends.get(n)
+            if end is not None:
+                rate_resource, rate_time = _rates_at(end, f_useful)
+                if 0.0 < rate_resource < math.inf:
+                    resource.append(RatePoint(distance, rate_resource, "resource_normalized"))
+                if 0.0 < rate_time < math.inf:
+                    timed.append(RatePoint(distance, rate_time, "time_normalized"))
+    return [RateCurve(regime, tuple(pts)) for (regime, _), pts in zip(CURVES, points)]
 
 
 def curves_to_csv(curves: Sequence[RateCurve]) -> str:

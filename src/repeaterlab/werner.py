@@ -233,7 +233,9 @@ class FixedPoints(_Record):
 
     ``f_min`` and ``f_max`` bound the interval on which purification gains
     fidelity; outside it the map loses ground.  ``marginal`` flags the
-    degenerate case where the two roots have merged into a tangency.
+    degenerate case where the two roots have merged into a tangency.  In
+    practice that is an exact tangency (discriminant 0) or a single root
+    left in range: distinct roots never come within the 1e-9 gap.
     """
 
     __slots__ = ("f_min", "f_max", "marginal")
@@ -261,7 +263,10 @@ def purification_fixed_points(g: GateNoiseParams) -> FixedPoints:
     Perfect gates give exactly (0.5, 1.0).  Raises :class:`NoValidRangeError`
     when the discriminant is negative or no root is left in (1/4, 1]
     (purification never helps), and reports ``marginal=True`` if the roots
-    lie within 1e-9 of each other or only one is in range.
+    lie within 1e-9 of each other or only one is in range.  The gap catches
+    only an exact tangency: the next float past one already gives distinct
+    roots about 1.9e-8 apart (eta = 0.99, p2 one float above
+    0.9542903459463077).
     """
     q, c = _gate_terms(g)
     # Discriminant over 64 q, q (1 + c)(1 + 4c) - 9c, with 1 - q written as

@@ -98,14 +98,18 @@ MUTANTS = {
         "trace@default: every elapsed_seconds"),
     # Accounting.
     "pairs-per-round": (
-        "chain.py", "pairs *= cfg.m", "pairs *= cfg.l",
+        "chain.py", "pairs *= m", "pairs *= l",
         "pairs_consumed of a chain with l != m"),
     "attempts-per-round": (
-        "chain.py", "attempts *= cfg.m / ", "attempts *= cfg.l / ",
+        "chain.py", "attempts *= m / ", "attempts *= l / ",
         "expected_attempts of a chain with l != m"),
     "messages-per-level": (
         "chain.py", "cfg.c_es + cfg.c_epp * cfg.epp_rounds_per_level", "cfg.c_es + cfg.c_epp",
         "round_time with epp_rounds_per_level != 1"),
+    # The walk's floor.
+    "steps-past-floor": (
+        "chain.py", "_walk(cfg, g, mem, floor=True)", "_walk(cfg, g, mem, floor=False)",
+        "trace@trace: the trace walks past the fully mixed floor"),
     # Rates.
     "usefulness-below-floor": (
         "rates.py", "max(0.0, werner_weight(f)) ** 2", "max(0.0, werner_weight(f)) ** 3",
@@ -113,6 +117,9 @@ MUTANTS = {
     "usefulness-at-floor": (
         "rates.py", "if f >= f_useful:", "if f > f_useful:",
         "usefulness_weight(f_useful, f_useful) gives w**2, not 1"),
+    "curve-order-not-strict": (
+        "rates.py", "previous < ", "previous <= ",
+        "RateCurve accepts equal distances"),
     "shared-ss-tot": (
         "rates.py", "ss_tot = math.fsum([b * b for b in dy])",
         "ss_tot = math.fsum([b * b for b in dy[1:]])",

@@ -203,6 +203,30 @@ def test_pair_and_attempt_counts_tell_l_from_m(g, mem, f0, d_km, l, m, n, k):
     assert math.isclose(expected_attempts(cfg, g, mem), attempts, rel_tol=1e-12)
 
 
+@given(
+    g=gates,
+    mem=memories,
+    f0=fidelity,
+    d_km=st.floats(0.1, 100.0),
+    l=st.integers(2, 4),
+    n=st.integers(0, 8),
+    k=st.integers(0, 3),
+)
+@example(g=GateNoiseParams(), mem=MemoryModel.exponential(1e-6), f0=0.99, d_km=50.0,
+         l=2, n=4, k=1)
+@example(g=GateNoiseParams(0.9, 0.9, 0.9), mem=MemoryModel.none(), f0=0.9, d_km=10.0,
+         l=4, n=8, k=0)
+def test_the_floor_cut_is_a_prefix_of_the_full_walk(g, mem, f0, d_km, l, n, k):
+    try:
+        link = LinkModel(d_km=d_km, f0=f0)
+    except ValueError:
+        return  # not an accepted chain
+    cfg = ChainConfig(l=l, n=n, link=link, epp_rounds_per_level=k)
+    walk = list(chain._walk(cfg, g, mem))
+    end = next((i + 1 for i, step in enumerate(walk) if step.degenerate), len(walk))
+    assert list(chain._steps(cfg, g, mem)) == walk[:end]
+
+
 #: Distance kept from the fixed points when checking where purification
 #: gains: the gain vanishes at the roots, so rounding decides right next to
 #: them.

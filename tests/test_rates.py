@@ -244,6 +244,32 @@ def test_rate_point_and_curve_validation():
             RateCurve("x", points)
 
 
+@pytest.mark.parametrize("distances, accepted", [
+    ((), True),
+    ((5.0,), True),
+    ((math.nan,), True),
+    ((1.0, 2.0, 3.0, 4.0), True),
+    ((1.0, 1.0, 3.0, 4.0), False),
+    ((1.0, 2.0, 2.0, 4.0), False),
+    ((1.0, 2.0, 3.0, 3.0), False),
+    ((2.0, 1.0, 3.0, 4.0), False),
+    ((1.0, 3.0, 2.0, 4.0), False),
+    ((1.0, 2.0, 4.0, 3.0), False),
+    ((math.nan, 2.0, 3.0, 4.0), False),
+    ((1.0, 2.0, math.nan, 4.0), False),
+    ((1.0, 2.0, 3.0, math.nan), False),
+])
+def test_a_curve_accepts_only_strictly_increasing_distances(distances, accepted):
+    # Equal, decreasing and NaN distances at the first, a middle and the last
+    # pair; the points are duck-typed, so nothing but the curve checks them.
+    points = tuple(SimpleNamespace(distance_km=d) for d in distances)
+    if accepted:
+        assert RateCurve("x", points).points is points
+    else:
+        with pytest.raises(ValueError, match="^curve distances must increase strictly$"):
+            RateCurve("x", points)
+
+
 def test_a_curve_reads_its_distances_and_rates_in_point_order():
     curve = curve_from_fn(lambda d: 1.0 / d, (50.0, 100.0, 200.0))
     assert curve.distances == (50.0, 100.0, 200.0)
