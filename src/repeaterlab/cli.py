@@ -2,9 +2,11 @@
 
 One flat INI-style config file (sections, ``key = value`` lines, ``#``
 comments) feeds all subcommands; anything not set falls back to documented
-defaults.  All numeric output is printed with 12 significant digits and the
-pipeline contains no randomness, so identical configs produce byte-identical
-output — golden files are diffable.
+defaults.  Numeric output is printed with 12 significant digits, except
+``fixed-points``, which prints 12 decimal places; the pipeline contains no
+randomness, so identical configs produce byte-identical output — golden files
+are diffable.  Only the CSV writers ``trace`` and ``rate-sweep`` take
+``--out PATH``, and they require it.
 
 Pair counts are exact integers.  Exit codes: 0 success, 1 analysis-level
 failure (no valid purification range, oracle deviation, too few points to
@@ -132,12 +134,6 @@ def load_run_config(path: str | None) -> RunConfig:
     return RunConfig(chain, gates, memory, sweep, query_f, f_useful)
 
 
-def _require_out(args) -> str:
-    if args.out is None:
-        raise ConfigError(f"'{args.command}' writes a CSV file; --out is required")
-    return args.out
-
-
 def cmd_fixed_points(run: RunConfig, args) -> int:
     fp = purification_fixed_points(run.gates)
     print(f"f_min={fp.f_min:.12f} f_max={fp.f_max:.12f}")
@@ -158,10 +154,9 @@ def cmd_swap(run: RunConfig, args) -> int:
 
 
 def cmd_trace(run: RunConfig, args) -> int:
-    out = _require_out(args)
     pairs = resource_count(run.chain)  # fails before any output if too long to print
     trace = simulate_chain(run.chain, run.gates, run.memory)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(trace_to_csv(trace))
     print(f"final_fidelity={_fmt(trace.final_fidelity)}")
     print(f"total_elapsed_seconds={_fmt(trace.total_elapsed_seconds)}")
@@ -191,9 +186,8 @@ def cmd_rate_sweep(run: RunConfig, args) -> int:
         CURVES, InsufficientPointsError, RateCurve, curves_to_csv, scaling_fit, sweep_rates,
     )
 
-    out = _require_out(args)
     curves = sweep_rates(run.chain, run.gates, run.memory, run.sweep, run.f_useful)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(curves_to_csv(curves))
 
     # Fit beyond the small-n transient: only distances above four elementary
@@ -262,12 +256,13 @@ _COMMANDS = (
     ("oracle-check", "compare closed-form maps against circuit oracles",
      cmd_oracle_check),
 )
+#: The subcommands that write a CSV file, the only ones that take ``--out``.
+_WRITERS = ("trace", "rate-sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI-style config file")
-    common.add_argument("--out", metavar="PATH", help="output CSV path")
     parser = argparse.ArgumentParser(
         prog="repeaterlab",
         description="Analytic repeater-chain toolkit: fidelity maps, chain "
@@ -276,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler in _COMMANDS:
         sp = sub.add_parser(name, parents=[common], help=help_text)
+        if name in _WRITERS:
+            sp.add_argument("--out", metavar="PATH", required=True, help="output CSV path")
         sp.set_defaults(handler=handler)
     return parser
 

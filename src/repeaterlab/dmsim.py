@@ -464,7 +464,7 @@ def _purify_circuit(rho: np.ndarray, g: GateNoiseParams) -> tuple[np.ndarray, np
     kept = _measure_and_discard(rho, _PURIFY_BLOCKS, (report.T @ report).reshape(4))
     success = np.trace(kept, axis1=-2, axis2=-1).real
     if (success <= 0.0).any():
-        raise ValueError("coincidence probability vanished; inputs are unphysical")
+        raise ValueError("no branch passes the coincidence check")
     return _bell_overlap(kept) / success, success
 
 

@@ -124,6 +124,11 @@ MUTANTS = {
         "rates.py", "ss_tot = math.fsum([b * b for b in dy])",
         "ss_tot = math.fsum([b * b for b in dy[1:]])",
         "rate-sweep@baseline: every fit goodness"),
+    # Command line.
+    "out-required": (
+        "cli.py", 'required=True, help="output CSV path"',
+        'required=False, help="output CSV path"',
+        "trace without --out reaches open(None) and raises TypeError"),
 }
 
 

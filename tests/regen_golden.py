@@ -1,10 +1,11 @@
 """Rewrite ``tests/golden/cli.json``, the golden output matrix of the CLI.
 
 Every subcommand runs through :func:`repeaterlab.cli.main` on no config, on
-``tests/golden/baseline.ini`` and on ``tests/golden/trace.ini``, always with
-``--out``.  Each case records the exit code, stdout, stderr and the bytes of
-the CSV written (``null`` if none), text split into lines so that a change
-shows as a line diff.  ``tests/test_golden.py`` checks the committed file.
+``tests/golden/baseline.ini`` and on ``tests/golden/trace.ini``, with
+``--out`` for the CSV writers only.  Each case records the exit code, stdout,
+stderr and the bytes of the CSV written (``null`` if none), text split into
+lines so that a change shows as a line diff.  ``tests/test_golden.py`` checks
+the committed file.
 
 After an intended output change, run ``python3 tests/regen_golden.py`` from
 the repository root and list each moved line in CHANGES.md.
@@ -35,11 +36,11 @@ def case_names() -> list[str]:
 def run_case(name: str, workdir: pathlib.Path) -> dict:
     """Exit code, stdout, stderr and CSV of one case, run in process with
     its CSV written into the empty directory ``workdir``."""
-    from repeaterlab.cli import main
+    from repeaterlab.cli import _WRITERS, main
 
     command, config = name.split("@")
     out_path = workdir / "out.csv"
-    argv = [command, "--out", str(out_path)]
+    argv = [command] + (["--out", str(out_path)] if command in _WRITERS else [])
     if CONFIGS[config] is not None:
         argv += ["--config", str(GOLDEN / CONFIGS[config])]
     stdout, stderr = io.StringIO(), io.StringIO()

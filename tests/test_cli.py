@@ -19,14 +19,15 @@ from repeaterlab import (
     simulate_chain,
     trace_to_csv,
 )
-from repeaterlab.cli import main
-from repeaterlab.dmsim import ORACLE_TOLERANCE
+from repeaterlab.cli import _COMMANDS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 #: A nested doubling chain with lossy memory, and a purifying one; the golden
 #: output matrix runs every subcommand on each of them too.
 BASELINE_INI = (GOLDEN / "baseline.ini").read_text(encoding="utf-8")
 TRACE_INI = (GOLDEN / "trace.ini").read_text(encoding="utf-8")
+#: The subcommands that write a CSV file: they alone take ``--out``.
+WRITERS = ("trace", "rate-sweep")
 
 
 def run_cli(capsys, *argv):
@@ -35,17 +36,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def out_option(command, path):
+    """``--out path`` for a subcommand that writes a CSV; nothing for the
+    others, which refuse it."""
+    return ["--out", str(path)] if command in WRITERS else []
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-def test_fixed_points_with_default_gates(capsys):
-    code, out, err = run_cli(capsys, "fixed-points")
-    assert code == 0
-    assert out == "f_min=0.500000000000 f_max=1.000000000000\n"
-    assert err == ""
 
 
 def test_fixed_points_reports_missing_range(capsys, tmp_path):
@@ -115,15 +115,6 @@ def test_missing_config_file(capsys):
     assert "file" in err
 
 
-def test_purify_and_swap_report_lines(capsys):
-    code, out, _ = run_cli(capsys, "purify")
-    assert code == 0
-    assert out == "f_out=0.838150289017 success_probability=0.768888888889\n"
-    code, out, _ = run_cli(capsys, "swap")
-    assert code == 0
-    assert out == "f_out=0.653333333333\n"
-
-
 def test_trace_writes_csv_and_summary(capsys, tmp_path):
     cfg = write(tmp_path, "trace.ini", TRACE_INI)
     out_path = tmp_path / "trace.csv"
@@ -163,9 +154,39 @@ def test_trace_zero_depth(capsys, tmp_path):
 
 def test_trace_requires_out(capsys, tmp_path):
     cfg = write(tmp_path, "n0.ini", "[chain]\nn = 0\n")
-    code, _, err = run_cli(capsys, "trace", "--config", cfg)
-    assert code == 2
-    assert "--out" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--config", cfg])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_rate_sweep_requires_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rate-sweep"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --out\n")
+
+
+@pytest.mark.parametrize("command", [
+    name for name, _, _ in _COMMANDS if name not in WRITERS])
+def test_only_the_csv_writers_take_out(capsys, tmp_path, command):
+    out_path = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(out_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --out" in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [name for name, _, _ in _COMMANDS])
+def test_help_lists_out_for_the_writers_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert ("--out PATH" in capsys.readouterr().out) == (command in WRITERS)
 
 
 def test_trace_degenerate_flagged_but_written(capsys, tmp_path):
@@ -180,37 +201,6 @@ def test_trace_degenerate_flagged_but_written(capsys, tmp_path):
     assert "degenerate=true\n" in out
     assert out_path.exists()
     assert len(out_path.read_text(encoding="utf-8").splitlines()) >= 3
-
-
-def test_threshold_baseline_line(capsys, tmp_path):
-    cfg = write(tmp_path, "base.ini", BASELINE_INI)
-    code, out, _ = run_cli(capsys, "threshold", "--config", cfg)
-    assert code == 0
-    assert out == (
-        "D_th_km=200 level=3 f_min=0.535224158049 "
-        "crossing_fidelity=0.521380881003\n"
-    )
-
-
-def test_threshold_without_memory_noise(capsys):
-    code, out, _ = run_cli(capsys, "threshold")
-    assert code == 0
-    assert out == "D_th_km=Infinite f_min=0.5\n"
-
-
-def test_oracle_check_passes(capsys):
-    code, out, _ = run_cli(capsys, "oracle-check")
-    assert code == 0
-    values = {}
-    for line in out.strip().splitlines():
-        key, _, raw = line.partition("=")
-        values[key] = float(raw)
-    assert set(values) == {
-        "swap_max_deviation",
-        "purify_max_deviation",
-        "purify_success_max_deviation",
-    }
-    assert all(v <= ORACLE_TOLERANCE for v in values.values())
 
 
 def test_oracle_check_catches_a_wrong_formula(capsys, monkeypatch):
@@ -360,8 +350,8 @@ OVERFLOW_LINES = {
 def test_pair_count_overflow_is_one_line_not_a_traceback(capsys, tmp_path,
                                                          command, ini):
     cfg = write(tmp_path, "deep.ini", ini)
-    code, out, err = run_cli(capsys, command, "--config", cfg, "--out",
-                             str(tmp_path / "out.csv"))
+    code, out, err = run_cli(capsys, command, "--config", cfg,
+                             *out_option(command, tmp_path / "out.csv"))
     assert code == 1
     assert out == OVERFLOW_LINES[ini]
     assert err == ""
@@ -373,8 +363,8 @@ def test_an_l_past_the_float_range_is_named(capsys, tmp_path, command):
     # The swap map's float power k**(l - 1) is the first place l must fit.
     cfg = write(tmp_path, "wide.ini", f"[chain]\nl = {'1' * 401}\n"
                 "[memory]\nmode = exponential\ntau_s = 1\n")
-    code, out, err = run_cli(capsys, command, "--config", cfg, "--out",
-                             str(tmp_path / "out.csv"))
+    code, out, err = run_cli(capsys, command, "--config", cfg,
+                             *out_option(command, tmp_path / "out.csv"))
     assert code == 1
     assert out == "Overflow: l has 401 digits, past the float range\n"
     assert err == ""
@@ -447,8 +437,8 @@ def test_a_walk_past_the_printable_pair_count_stops_where_it_gets_there(
     sys.set_int_max_str_digits(4300)
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, command, "--config", cfg, "--out",
-                                 str(out_path))
+        code, out, err = run_cli(capsys, command, "--config", cfg,
+                                 *out_option(command, out_path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

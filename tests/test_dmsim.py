@@ -562,6 +562,15 @@ def test_the_circuits_run_in_real_arithmetic():
     assert measure_noisy(rho, 1, 0.9)[0].state.dtype == np.complex128
 
 
+def test_purification_refuses_a_state_no_branch_of_which_passes():
+    # |0001>: with ideal gates both CNOTs leave it alone, so the sacrificed
+    # qubits always read (0, 1) and never agree.  The state is physical.
+    rho = np.zeros((1, 16, 16))
+    rho[0, 1, 1] = 1.0
+    with pytest.raises(ValueError, match="^no branch passes the coincidence check$"):
+        dmsim._purify_circuit(rho, GateNoiseParams(1.0, 1.0, 1.0))
+
+
 def test_the_circuits_constants_are_read_only():
     # The circuits apply their gates, failure maps and block positions
     # without copying them, in row order.

@@ -53,7 +53,7 @@ from repeaterlab import (
     validate_fidelity,
     werner_state,
 )
-from repeaterlab.cli import _SECTION_KEYS, main
+from repeaterlab.cli import _SECTION_KEYS, _WRITERS, main
 from repeaterlab import chain, dmsim
 from repeaterlab.dmsim import CNOT, ORACLE_TOLERANCE, H, X, Z, num_qubits
 from repeaterlab.werner import FIDELITY_TOL, _real
@@ -711,8 +711,9 @@ def run_commands(text, traced=False):
                 tracemalloc.start()
             try:
                 with redirect_stdout(out), redirect_stderr(err):
-                    code = main([command, "--config", path, "--out",
-                                 os.path.join(tmp, "out.csv")])
+                    code = main([command, "--config", path, *(
+                        ["--out", os.path.join(tmp, "out.csv")]
+                        if command in _WRITERS else [])])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 if traced:
