@@ -166,11 +166,14 @@ class TraceStep(NamedTuple):
 
 class FidelityTrace(_Record):
     """Stage-by-stage record of one simulated chain, ``degenerate`` when it
-    was cut short at a step on the fully mixed floor."""
+    was cut short at a step on the fully mixed floor.  Every property reads
+    the last step, so ``steps`` may not be empty."""
 
     __slots__ = ("steps",)
 
     def __init__(self, steps: tuple[TraceStep, ...]) -> None:
+        if not steps:
+            raise ValueError("steps must hold at least one step, got none")
         _setattr(self, "steps", steps)
 
     @property

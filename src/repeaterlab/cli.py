@@ -2,17 +2,23 @@
 
 One flat INI-style config file (sections, ``key = value`` lines, ``#``
 comments) feeds all subcommands; anything not set falls back to documented
-defaults.  Numeric output is printed with 12 significant digits, except
-``fixed-points``, which prints 12 decimal places; the pipeline contains no
-randomness, so identical configs produce byte-identical output — golden files
-are diffable.  Only the CSV writers ``trace`` and ``rate-sweep`` take
+defaults.  Only the CSV writers ``trace`` and ``rate-sweep`` take
 ``--out PATH``, and they require it.
 
-Pair counts are exact integers.  Exit codes: 0 success, 1 analysis-level
-failure (no valid purification range, oracle deviation, too few points to
-fit, a pair count too long to print, a level latency or sweep distance past
-the float range) or a stdout closed by its reader, 2 usage or config errors.
-``trace`` refuses a pair count too long to print before it writes anything;
+Each ``cmd_*`` handler takes the :class:`RunConfig` and returns its exit
+code, its CSV text (``None`` but for the writers) and its stdout as lines of
+``(key, value)`` pairs; :func:`main` alone writes the CSV and prints.  Stdout
+is ``key=value`` lines, a float with 12 significant digits (``fixed-points``:
+12 decimal places) and a pair count exactly.  The pipeline contains no
+randomness, so identical configs produce byte-identical output — golden files
+are diffable.
+
+Exit codes: 0 success, 1 analysis-level failure (no valid purification
+range, oracle deviation, too few points to fit, a pair count too long to
+print, a level latency or sweep distance past the float range) or a stdout
+closed by its reader, 2 usage or config errors or an ``--out`` path that
+cannot be written.  ``trace`` refuses a pair count too long to print before
+it walks the chain;
 ``rate-sweep`` and ``threshold`` refuse it at the level of the walk that
 builds it, so ``threshold`` answers when a crossing comes first.
 """
@@ -67,10 +73,6 @@ class RunConfig(NamedTuple):
     sweep: range
     query_f: float
     f_useful: float | None
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def _convert(raw: str, section: str, key: str, kind):
@@ -134,113 +136,85 @@ def load_run_config(path: str | None) -> RunConfig:
     return RunConfig(chain, gates, memory, sweep, query_f, f_useful)
 
 
-def cmd_fixed_points(run: RunConfig, args) -> int:
+def cmd_fixed_points(run: RunConfig):
     fp = purification_fixed_points(run.gates)
-    print(f"f_min={fp.f_min:.12f} f_max={fp.f_max:.12f}")
-    return 0
+    return 0, None, [(("f_min", fp.f_min), ("f_max", fp.f_max))]
 
 
-def cmd_purify(run: RunConfig, args) -> int:
+def cmd_purify(run: RunConfig):
     f_out = purify_noisy(run.query_f, run.gates)
     success = purify_success_probability(run.query_f, run.gates)
-    print(f"f_out={_fmt(f_out)} success_probability={_fmt(success)}")
-    return 0
+    return 0, None, [(("f_out", f_out), ("success_probability", success))]
 
 
-def cmd_swap(run: RunConfig, args) -> int:
-    f_out = swap_chain_fidelity(run.query_f, run.chain.l, run.gates)
-    print(f"f_out={_fmt(f_out)}")
-    return 0
+def cmd_swap(run: RunConfig):
+    return 0, None, [(("f_out", swap_chain_fidelity(run.query_f, run.chain.l, run.gates)),)]
 
 
-def cmd_trace(run: RunConfig, args) -> int:
-    pairs = resource_count(run.chain)  # fails before any output if too long to print
+def cmd_trace(run: RunConfig):
+    pairs = resource_count(run.chain)  # refuses a count too long to print before the walk
     trace = simulate_chain(run.chain, run.gates, run.memory)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_csv(trace))
-    print(f"final_fidelity={_fmt(trace.final_fidelity)}")
-    print(f"total_elapsed_seconds={_fmt(trace.total_elapsed_seconds)}")
-    print(f"resource_count={pairs}")
+    lines = [(("final_fidelity", trace.final_fidelity),),
+             (("total_elapsed_seconds", trace.total_elapsed_seconds),),
+             (("resource_count", pairs),)]
     if trace.degenerate:
-        print("degenerate=true")
-    return 0
+        lines.append((("degenerate", "true"),))
+    return 0, trace_to_csv(trace), lines
 
 
-def cmd_threshold(run: RunConfig, args) -> int:
+def cmd_threshold(run: RunConfig):
     from .rates import threshold_distance
 
     th = threshold_distance(run.chain, run.gates, run.memory)
     if math.isinf(th.distance_km):
-        print(f"D_th_km=Infinite f_min={_fmt(th.f_min)}")
-    else:
-        print(
-            f"D_th_km={_fmt(th.distance_km)} level={th.level} "
-            f"f_min={_fmt(th.f_min)} crossing_fidelity={_fmt(th.crossing_fidelity)}"
-        )
-    return 0
+        return 0, None, [(("D_th_km", "Infinite"), ("f_min", th.f_min))]
+    return 0, None, [(("D_th_km", th.distance_km), ("level", th.level), ("f_min", th.f_min),
+                      ("crossing_fidelity", th.crossing_fidelity))]
 
 
-def cmd_rate_sweep(run: RunConfig, args) -> int:
+def cmd_rate_sweep(run: RunConfig):
     # Only the two rate subcommands load rates, as only oracle-check loads dmsim.
     from .rates import (
         CURVES, InsufficientPointsError, RateCurve, curves_to_csv, scaling_fit, sweep_rates,
     )
 
     curves = sweep_rates(run.chain, run.gates, run.memory, run.sweep, run.f_useful)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(curves_to_csv(curves))
-
     # Fit beyond the small-n transient: only distances above four elementary
     # links enter the polynomial/exponential discrimination.
     cut = 4.0 * run.chain.link.d_km
-    fits = []
-    failures = []
+    fits, failures = [], []
     for curve, (regime, metric) in zip(curves, CURVES):
-        tail = RateCurve(
-            curve.regime, tuple(p for p in curve.points if p.distance_km > cut)
-        )
+        tail = RateCurve(curve.regime, tuple(p for p in curve.points if p.distance_km > cut))
         try:
             fits.append((regime, metric, scaling_fit(tail)))
         except InsufficientPointsError as exc:
-            failures.append((regime, metric, str(exc)))
-    for regime, metric, fit in fits:
-        print(
-            f"fit regime={regime} metric={metric} kind={fit.kind} "
-            f"parameter={_fmt(fit.parameter)} goodness={_fmt(fit.goodness)}"
-        )
-    for regime, metric, fit in fits:
-        for name, value in zip(fit._fields, fit):
-            text = value if isinstance(value, str) else _fmt(value)
-            print(f"{regime}.{metric}.{name}={text}")
-    for regime, metric, message in failures:
-        print(f"InsufficientPoints regime={regime} metric={metric}: {message}")
-    return 1 if failures else 0
+            failures.append(((None, "InsufficientPoints"), ("regime", regime),
+                             ("metric", f"{metric}:"), (None, str(exc))))
+    # Each fit shows twice: its kind, parameter and goodness (the first three
+    # fields) on one summary line, then every field on a line of its own.
+    lines = [((None, "fit"), ("regime", regime), ("metric", metric), *zip(fit._fields[:3], fit))
+             for regime, metric, fit in fits]
+    lines += [((f"{regime}.{metric}.{name}", value),)
+              for regime, metric, fit in fits for name, value in zip(fit._fields, fit)]
+    return (1 if failures else 0), curves_to_csv(curves), lines + failures
 
 
-def cmd_oracle_check(run: RunConfig, args) -> int:
+def cmd_oracle_check(run: RunConfig):
     # The oracle is the only numpy user; other subcommands skip its import.
     from .dmsim import ORACLE_TOLERANCE, map_deviations
 
     # The 15 points of numpy.linspace(0.3, 1.0, 15), bit for bit.
     fidelities = [0.3 + i * ((1.0 - 0.3) / 14) for i in range(14)] + [1.0]
-    triples = (
-        (1.0, 1.0, 1.0),
-        (0.99, 0.99, 0.99),
-        (0.95, 0.95, 0.95),
-        (1.0, 0.99, 0.95),
-        (0.95, 1.0, 0.99),
-        (0.99, 0.95, 1.0),
-        (0.999, 0.99, 0.995),
-        (0.95, 0.99, 0.95),
-    )
+    triples = ((1.0, 1.0, 1.0), (0.99, 0.99, 0.99), (0.95, 0.95, 0.95), (1.0, 0.99, 0.95),
+               (0.95, 1.0, 0.99), (0.99, 0.95, 1.0), (0.999, 0.99, 0.995), (0.95, 0.99, 0.95))
     noise = [GateNoiseParams(*t) for t in triples]
     worst = map_deviations(fidelities, noise)
-    for name in ("swap", "purify", "purify_success"):
-        print(f"{name}_max_deviation={_fmt(worst[name])}")
-    if not all(value <= ORACLE_TOLERANCE for value in worst.values()):
-        print(f"oracle deviation exceeds tolerance {_fmt(ORACLE_TOLERANCE)}")
-        return 1
-    return 0
+    lines = [((f"{name}_max_deviation", worst[name]),)
+             for name in ("swap", "purify", "purify_success")]
+    if all(value <= ORACLE_TOLERANCE for value in worst.values()):
+        return 0, None, lines
+    lines.append(((None, "oracle deviation exceeds tolerance"), (None, ORACLE_TOLERANCE)))
+    return 1, None, lines
 
 
 _COMMANDS = (
@@ -277,15 +251,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(lines, fixed: bool) -> None:
+    """Print a record by the output rule of this module, one stdout line
+    per tuple of pairs; a pair whose key is None prints its value alone."""
+    for line in lines:
+        fields = []
+        for key, value in line:
+            if isinstance(value, float):
+                value = f"{value:.12f}" if fixed else f"{value:.12g}"
+            fields.append(f"{value}" if key is None else f"{key}={value}")
+        print(" ".join(fields))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = load_run_config(args.config)
-        code = args.handler(run, args)
+        code, csv, lines = args.handler(load_run_config(args.config))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (NoValidRangeError, OverflowError) as exc:
+        code, csv = 1, None
+        lines = [((None, f"{type(exc).__name__.removesuffix('Error')}: {exc}"),)]
+    if csv is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(csv)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    try:
+        _print(lines, fixed=args.command == "fixed-points")
         # Flush now, so a reader that closed the pipe is caught below rather
         # than by the interpreter's flush at exit.
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
         # The reader left early (``| head``).  Point stdout at devnull so the
         # exit-time flush of the unsent output stays silent too.
@@ -293,12 +292,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (NoValidRangeError, OverflowError) as exc:
-        print(f"{type(exc).__name__.removesuffix('Error')}: {exc}")
-        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -244,6 +244,8 @@ class FixedPoints(_Record):
         _real("f_min", f_min, MIXED_FIDELITY, 1.0 + FIDELITY_TOL, open_low=True)
         _setattr(self, "f_min", f_min)
         _setattr(self, "f_max", _real("f_max", f_max, f_min, 1.0 + FIDELITY_TOL))
+        if marginal.__class__ is not bool:
+            raise TypeError(f"marginal must be a bool, got {marginal!r}")
         _setattr(self, "marginal", marginal)
 
 

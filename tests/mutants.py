@@ -129,6 +129,12 @@ MUTANTS = {
         "cli.py", 'required=True, help="output CSV path"',
         'required=False, help="output CSV path"',
         "trace without --out reaches open(None) and raises TypeError"),
+    "cli-number-format": (
+        "cli.py", 'f"{value:.12g}"', 'f"{value:.11g}"',
+        "every golden case that prints a float outside fixed-points"),
+    "csv-only-on-success": (
+        "cli.py", "if csv is not None:", "if csv is not None and code == 0:",
+        "rate-sweep with too few points to fit writes no CSV"),
 }
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes, output stability."""
 
+import errno
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from repeaterlab import (
     simulate_chain,
     trace_to_csv,
 )
-from repeaterlab.cli import _COMMANDS, main
+from repeaterlab.cli import _COMMANDS, load_run_config, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 #: A nested doubling chain with lossy memory, and a purifying one; the golden
@@ -179,6 +180,39 @@ def test_only_the_csv_writers_take_out(capsys, tmp_path, command):
     assert captured.out == ""
     assert "unrecognized arguments: --out" in captured.err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", WRITERS)
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.csv", errno.ENOENT), (".", errno.EISDIR)], ids=["no-such-dir", "a-dir"])
+def test_an_unwritable_out_is_one_stderr_line(capsys, tmp_path, command, target,
+                                              reason):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, command, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"cannot write {path}: {os.strerror(reason)}\n"
+
+
+@pytest.mark.parametrize("name, handler", [(name, handler) for name, _, handler in _COMMANDS])
+def test_each_handler_returns_its_output_as_data(capsys, tmp_path, monkeypatch, name,
+                                                 handler):
+    """A handler prints nothing and writes no file; its record holds numbers
+    as numbers, so that only ``main`` turns them into text."""
+    monkeypatch.chdir(tmp_path)
+    code, csv, lines = handler(load_run_config(None))
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+    assert code == 0
+    assert (csv is not None) == (name in WRITERS)
+    assert lines
+    for line in lines:
+        assert type(line) is tuple and line
+        for key, value in line:
+            assert key is None or type(key) is str
+            assert type(value) in (float, int, str), (key, value)
+            if type(value) is str:
+                with pytest.raises(ValueError):
+                    float(value)
 
 
 @pytest.mark.parametrize("command", [name for name, _, _ in _COMMANDS])

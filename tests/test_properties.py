@@ -856,6 +856,8 @@ NUMERIC_PARAMETERS = {
         lambda worst: all(d <= ORACLE_TOLERANCE for d in worst.values())),
     "FixedPoints.f_min": ("f_min", lambda v: FixedPoints(v, 1.0), a_float_field("f_min", 0.25)),
     "FixedPoints.f_max": ("f_max", lambda v: FixedPoints(0.5, v), a_float_field("f_max", 0.5)),
+    "FixedPoints.marginal": (
+        "marginal", lambda v: FixedPoints(0.5, 1.0, v), lambda fp: type(fp.marginal) is bool),
     "GateNoiseParams.p1": ("p1", lambda v: GateNoiseParams(p1=v), a_float_field("p1")),
     "GateNoiseParams.p2": ("p2", lambda v: GateNoiseParams(p2=v), a_float_field("p2")),
     "GateNoiseParams.eta": ("eta", lambda v: GateNoiseParams(eta=v), a_float_field("eta")),

@@ -1,6 +1,6 @@
 """The package's one record rule: a record that checks nothing is a
-``NamedTuple``; a record that checks its fields, and ``FidelityTrace``, is a
-``werner._Record``; no package class is a dataclass."""
+``NamedTuple``; a record that checks its fields is a ``werner._Record``; no
+package class is a dataclass."""
 
 import copy
 import dataclasses
@@ -46,8 +46,7 @@ POINT = RatePoint(25.0, 0.5, "resource_normalized")
 FAR = RatePoint(50.0, 0.25, "resource_normalized")
 
 #: One instance of each validated record, the ``repr`` its dataclass form
-#: printed, and a change its checks refuse with the given error (none for
-#: ``FidelityTrace``, which checks nothing).
+#: printed, and a change its checks refuse with the given error.
 VALIDATED = [
     (GateNoiseParams(0.99, 0.98, 0.97), "GateNoiseParams(p1=0.99, p2=0.98, eta=0.97)",
      {"eta": 0.5}, ValueError, "^eta must lie in"),
@@ -64,7 +63,7 @@ VALIDATED = [
     (FidelityTrace((TraceStep(0, "init", 0.96, 0.0, 1),)),
      "FidelityTrace(steps=(TraceStep(level=0, stage='init', fidelity=0.96, "
      "elapsed_seconds=0.0, pairs_consumed=1),))",
-     None, None, None),
+     {"steps": ()}, ValueError, "^steps must hold at least one step"),
     (POINT, "RatePoint(distance_km=25.0, rate=0.5, metric='resource_normalized')",
      {"rate": 0.0}, ValueError, "^rate must lie in"),
     (RateCurve("direct", (POINT, FAR)),
@@ -124,9 +123,8 @@ def test_validated_records_keep_the_dataclass_behaviour(record, text, bad, error
     assert record._replace() == record
     with pytest.raises(TypeError):
         record._replace(no_such_field=1)
-    if bad is not None:
-        with pytest.raises(error, match=message):
-            record._replace(**bad)
+    with pytest.raises(error, match=message):
+        record._replace(**bad)
 
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
                   copy.deepcopy(record)):
