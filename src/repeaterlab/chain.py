@@ -29,9 +29,9 @@ from .noise import (
 )
 from .werner import (
     DEGENERACY_THRESHOLD,
+    _FLOAT_MAX,
     GateNoiseParams,
     _integer,
-    _real,
     _Record,
     _setattr,
     purify_noisy,
@@ -48,31 +48,27 @@ STAGES = ("init", "after_es", "after_memory", "after_epp")
 
 
 class ChainConfig(_Record):
-    """Static description of one repeater chain.
+    """Static description of one repeater chain: its shape only.
 
     ``l`` links merge per swap level, ``n`` levels deep, so the chain has
-    ``l**n`` elementary links.  ``m`` is the number of pairs one purification
-    round consumes to output one, and ``epp_rounds_per_level`` how many such
-    rounds run after each swap level.  ``c_es`` and ``c_epp`` convert the
-    one-way classical latency of the current span into the waiting time per
-    level: one message for swap corrections, a two-way exchange per
-    purification round.
+    ``l**n`` elementary links, and ``epp_rounds_per_level`` purification
+    rounds run after each swap level.  The protocol fixes the rest: a round
+    is the two-pair recurrence of Bennett et al., so it consumes ``m = 2``
+    pairs to output one, and a level waits ``1 + 2k`` one-way messages over
+    its span (see :func:`round_time`).
     """
 
-    __slots__ = ("l", "n", "link", "m", "epp_rounds_per_level", "c_es", "c_epp")
+    __slots__ = ("l", "n", "link", "epp_rounds_per_level")
 
-    def __init__(
-        self, l: int, n: int, link: LinkModel, m: int = 2, epp_rounds_per_level: int = 1,
-        c_es: float = 1.0, c_epp: float = 2.0,
-    ) -> None:
+    #: Pairs one purification round consumes; a constant of the protocol.
+    m = 2
+
+    def __init__(self, l: int, n: int, link: LinkModel, epp_rounds_per_level: int = 1) -> None:
         _setattr(self, "l", _integer("l", l, 2))
         _setattr(self, "n", _integer("n", n, 0))
         _setattr(self, "link", link)
-        _setattr(self, "m", _integer("m", m, 2))
         _setattr(self, "epp_rounds_per_level",
                  _integer("epp_rounds_per_level", epp_rounds_per_level, 0))
-        _setattr(self, "c_es", _real("c_es", c_es, 0.0))
-        _setattr(self, "c_epp", _real("c_epp", c_epp, 0.0))
 
     @property
     def checkpoints(self) -> int:
@@ -132,10 +128,11 @@ def build_schedule(cfg: ChainConfig) -> list[ScheduleRound]:
 def round_time(x: int, cfg: ChainConfig) -> float:
     """Classical-communication latency spent at level ``x``, in seconds.
 
-    The merged pairs span ``l**x`` links; swap corrections cost ``c_es``
-    one-way messages over that span and each purification round costs
-    ``c_epp`` of them for outcome comparison.  Raises ``OverflowError`` when
-    the span or the latency is not a finite float.
+    The merged pairs span ``l**x`` links; the swap corrections cost one
+    one-way message over that span and each of the ``k`` purification rounds
+    a two-way exchange of outcomes, so the level waits ``1 + 2k`` messages.
+    Raises ``OverflowError`` when the span or the latency is not a finite
+    float.
     """
     return _round_time(_integer("level", x, 1, cfg.n), cfg)
 
@@ -143,9 +140,10 @@ def round_time(x: int, cfg: ChainConfig) -> float:
 def _round_time(x: int, cfg: ChainConfig) -> float:
     """:func:`round_time` of a level already checked."""
     span_km = cfg.span_km(x)
-    if math.isfinite(span_km):
-        messages = cfg.c_es + cfg.c_epp * cfg.epp_rounds_per_level
-        latency = messages * classical_comm_time(span_km, cfg.link)
+    k = cfg.epp_rounds_per_level
+    # k is compared first, as 2.0 * k raises for a k past the float range.
+    if math.isfinite(span_km) and k <= _FLOAT_MAX:
+        latency = (1.0 + 2.0 * k) * classical_comm_time(span_km, cfg.link)
         if math.isfinite(latency):
             return latency
     raise OverflowError(f"level {x} latency is not a finite float (span {span_km!r} km)")
@@ -199,12 +197,12 @@ def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel, floor: bool = 
     Per level, in order: the swap update over ``l`` segments, memory decay
     over the level's full latency (time advances even when the memory is
     perfect), then each purification round.  Pair accounting is cumulative:
-    a swap multiplies consumption by ``l``, each purification round by ``m``.
-    A count a digit or more past what ``str`` prints raises ``OverflowError``
-    where it is built.  With ``floor`` the walk stops right after the first
-    degenerate step, at the fully mixed floor; without it, it never stops
-    early.  The maps are looked up in this module once per walk, as it
-    starts, so a map rebound before a walk is the one that walk calls.
+    a swap multiplies consumption by ``l``, each purification round by
+    ``m = 2``.  A count a digit or more past what ``str`` prints raises
+    ``OverflowError`` where it is built.  With ``floor`` the walk stops right
+    after the first degenerate step, at the fully mixed floor; without it, it
+    never stops early.  The maps are looked up in this module once per walk,
+    as it starts, so a map rebound before a walk is the one that walk calls.
     """
     swap, decay, purify, make = swap_chain_fidelity, memory_decay, purify_noisy, TraceStep._make
     l, m, rounds = cfg.l, cfg.m, range(cfg.epp_rounds_per_level)
@@ -266,11 +264,11 @@ def simulate_chain(
 def resource_count(cfg: ChainConfig) -> int:
     """Elementary pairs consumed by one full protocol execution, exactly.
 
-    Every level multiplies consumption by ``l`` (swapping) and by ``m`` per
-    purification round, giving ``(l * m**k)**n``: the exact int the last step
-    of a full trace carries.  Raises ``OverflowError`` for a count too long to
-    print, without building it or ``m**k`` when its log10,
-    ``n * (log10(l) + k * log10(m))``, is a digit or more past the limit.
+    Every level multiplies consumption by ``l`` (swapping) and by ``m = 2``
+    per purification round, giving ``(l * 2**k)**n``: the exact int the last
+    step of a full trace carries.  Raises ``OverflowError`` for a count too
+    long to print, without building it or ``2**k`` when its log10,
+    ``n * (log10(l) + k * log10(2))``, is a digit or more past the limit.
     Success probabilities are deliberately excluded; see
     :func:`expected_attempts` for the probabilistic cost.
     """
@@ -282,8 +280,9 @@ def resource_count(cfg: ChainConfig) -> int:
         k >= (limit + 1) / math.log10(m)
         or n >= (limit + 1) / (math.log10(l) + k * math.log10(m))
     ):
-        (lp, lq), (mp, mq) = (math.log2(v).as_integer_ratio() for v in (l, m))
-        raise _too_long(n * (lp * mq + k * mp * lq) // (lq * mq) + 1)
+        # About n * (log2(l) + k) bits, as log2(m) is 1.
+        lp, lq = math.log2(l).as_integer_ratio()
+        raise _too_long(n * (lp + k * lq) // lq + 1)
     return _printable(l**n * m ** (k * n))
 
 
@@ -304,7 +303,7 @@ def _printable(count: int) -> int:
 
 
 def resource_scaling_form(cfg: ChainConfig) -> float:
-    """The same count written as N**(log_l(M) + 1) with N = l**n, M = m**k.
+    """The same count written as N**(log_l(M) + 1) with N = l**n, M = 2**k.
 
     Floating-point cross-check of :func:`resource_count`; the two agree to
     rounding error, which is the point: total resources are polynomial in the
@@ -322,12 +321,13 @@ def expected_attempts(
 
     Extends :func:`resource_count` with the transmission success probability
     of each elementary link and the keep probability of each purification
-    round (evaluated at the fidelity entering that round).  Purification keep
-    probabilities stay positive even for useless states, so this walks every
-    level; it measures the cost of finishing the protocol, not of producing
-    something worth keeping.  The count is ``inf`` once it leaves the float
-    range, which it does before the walk's pair count grows too long to
-    print: the attempts are never fewer than the pairs.
+    round (evaluated at the fidelity entering that round): a round multiplies
+    the attempts by ``2 / p_pass``.  Purification keep probabilities stay
+    positive even for useless states, so this walks every level; it measures
+    the cost of finishing the protocol, not of producing something worth
+    keeping.  The count is ``inf`` once it leaves the float range, which it
+    does before the walk's pair count grows too long to print: the attempts
+    are never fewer than the pairs.
     """
     l, m, success = cfg.l, cfg.m, purify_success_probability
     transmission = link_success_probability(cfg.link.d_km, cfg.link)
@@ -337,10 +337,7 @@ def expected_attempts(
         if step.stage == "after_es":
             attempts *= l
         elif step.stage == "after_epp":
-            try:
-                attempts *= m / success(f, g)
-            except OverflowError:  # an m past the float range
-                return math.inf
+            attempts *= m / success(f, g)
         if attempts == math.inf:
             return attempts
         f = step.fidelity

@@ -48,8 +48,7 @@ from .werner import (
 #: Every config key and the type its value converts to.  Keys left out fall
 #: back to the defaults of the object their section builds.
 _SECTION_KEYS = {
-    "chain": {"l": int, "n": int, "m": int, "epp_rounds_per_level": int,
-              "c_es": float, "c_epp": float},
+    "chain": {"l": int, "n": int, "epp_rounds_per_level": int},
     "link": {"d_km": float, "f0": float, "alpha_db_per_km": float,
              "c_signal_km_s": float},
     "gates": {"p1": float, "p2": float, "eta": float},

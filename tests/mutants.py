@@ -99,12 +99,15 @@ MUTANTS = {
     # Accounting.
     "pairs-per-round": (
         "chain.py", "pairs *= m", "pairs *= l",
-        "pairs_consumed of a chain with l != m"),
+        "pairs_consumed of a chain with l != 2"),
     "attempts-per-round": (
         "chain.py", "attempts *= m / ", "attempts *= l / ",
-        "expected_attempts of a chain with l != m"),
+        "expected_attempts of a chain with l != 2"),
+    "two-pairs-per-round": (
+        "chain.py", "\n    m = 2\n", "\n    m = 3\n",
+        "trace@trace: every pairs_consumed after a purification round"),
     "messages-per-level": (
-        "chain.py", "cfg.c_es + cfg.c_epp * cfg.epp_rounds_per_level", "cfg.c_es + cfg.c_epp",
+        "chain.py", "(1.0 + 2.0 * k)", "(1.0 + 2.0)",
         "round_time with epp_rounds_per_level != 1"),
     # The walk's floor.
     "steps-past-floor": (

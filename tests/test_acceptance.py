@@ -90,19 +90,20 @@ def test_criterion_3_resource_count_matches_both_closed_forms():
     done = _stopwatch(1.0)
     link = LinkModel()
     cells = 0
-    for l, m in itertools.product(range(2, 6), repeat=2):
+    for l, k in itertools.product(range(2, 6), range(0, 4)):
+        pairs_per_level = 2**k
         for n in range(0, 9):
-            cfg = ChainConfig(l=l, n=n, link=link, m=m, epp_rounds_per_level=1)
+            cfg = ChainConfig(l=l, n=n, link=link, epp_rounds_per_level=k)
             count = resource_count(cfg)
-            assert count == (l * m) ** n
+            assert count == (l * pairs_per_level) ** n
             checkpoints = l**n
-            via_scaling = checkpoints ** (math.log(m, l) + 1.0)
+            via_scaling = checkpoints ** (math.log(pairs_per_level, l) + 1.0)
             form = resource_scaling_form(cfg)
             assert form == pytest.approx(via_scaling, rel=1e-12)
             assert count == pytest.approx(form, rel=1e-12)
             cells += 1
     elapsed = done()
-    print(f"criterion 3: PASS ({cells} (l, m, n) cells, {elapsed:.2f}s)")
+    print(f"criterion 3: PASS ({cells} (l, k, n) cells, {elapsed:.2f}s)")
 
 
 def test_criterion_4_lossless_doubling_rate_is_inverse_square():
@@ -111,7 +112,6 @@ def test_criterion_4_lossless_doubling_rate_is_inverse_square():
         l=2,
         n=1,
         link=LinkModel(d_km=25.0, f0=1.0),
-        m=2,
         epp_rounds_per_level=1,
     )
     curves = sweep_rates(
@@ -189,7 +189,7 @@ def test_criterion_5_memory_decay_threshold_and_exponential_tail():
     # and so does purification once the input sits under f_min.
     for epp_rounds in (0, 1):
         variant = ChainConfig(
-            l=2, n=8, link=link, m=2, epp_rounds_per_level=epp_rounds
+            l=2, n=8, link=link, epp_rounds_per_level=epp_rounds
         )
         th = threshold_distance(variant, gates, memory)
         assert math.isfinite(th.distance_km)

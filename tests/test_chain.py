@@ -56,7 +56,7 @@ level,stage,fidelity,elapsed_seconds,pairs_consumed
 
 
 def baseline_config(n=4, k=1):
-    return ChainConfig(l=2, n=n, link=LINK, m=2, epp_rounds_per_level=k)
+    return ChainConfig(l=2, n=n, link=LINK, epp_rounds_per_level=k)
 
 
 #: Every float field of the config objects: its name and a constructor
@@ -71,10 +71,6 @@ FLOAT_FIELDS = [
                  id="LinkModel.alpha_db_per_km"),
     pytest.param("c_signal_km_s", lambda v: LinkModel(c_signal_km_s=v),
                  id="LinkModel.c_signal_km_s"),
-    pytest.param("c_es", lambda v: ChainConfig(l=2, n=2, link=LINK, c_es=v),
-                 id="ChainConfig.c_es"),
-    pytest.param("c_epp", lambda v: ChainConfig(l=2, n=2, link=LINK, c_epp=v),
-                 id="ChainConfig.c_epp"),
     pytest.param("tau_s", MemoryModel.exponential, id="MemoryModel.exponential"),
 ]
 
@@ -93,21 +89,26 @@ def test_chain_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(l=2, n=-1, link=LINK)
     with pytest.raises(ValueError):
-        ChainConfig(l=2, n=2, link=LINK, m=1)
-    with pytest.raises(ValueError):
         ChainConfig(l=2, n=2, link=LINK, epp_rounds_per_level=-1)
     with pytest.raises(TypeError):
         ChainConfig(l=2.0, n=2, link=LINK)
     with pytest.raises(TypeError):
         ChainConfig(l=True, n=2, link=LINK)
-    for bad in (-0.5, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            ChainConfig(l=2, n=2, link=LINK, c_es=bad)
-        with pytest.raises(ValueError):
-            ChainConfig(l=2, n=2, link=LINK, c_epp=bad)
     cfg = ChainConfig(l=3, n=2, link=LINK)
     assert cfg.checkpoints == 9
     assert cfg.total_distance_km == pytest.approx(225.0)
+
+
+@pytest.mark.parametrize("key, value", [("m", 2), ("c_es", 1.0), ("c_epp", 2.0)])
+def test_protocol_constants_are_not_chain_parameters(key, value):
+    # A round consumes two pairs and a level waits 1 + 2k messages, always.
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+        ChainConfig(l=2, n=1, link=LinkModel(), **{key: value})
+    cfg = ChainConfig(l=2, n=1, link=LinkModel())
+    assert cfg.m == ChainConfig.m == 2
+    with pytest.raises(AttributeError):
+        cfg.m = 3
+    assert cfg.m == 2
 
 
 def test_build_schedule_two_levels_of_doubling():
@@ -178,8 +179,7 @@ def test_build_schedule_refuses_chains_past_its_bound():
 
 
 def test_round_time_values():
-    cfg = ChainConfig(l=2, n=3, link=LINK, epp_rounds_per_level=1,
-                      c_es=1.0, c_epp=2.0)
+    cfg = ChainConfig(l=2, n=3, link=LINK, epp_rounds_per_level=1)
     # one correction message plus one two-way purification exchange over
     # 2^3 * 25 km at 2e5 km/s
     assert round_time(3, cfg) == pytest.approx(3e-3, abs=1e-18)
@@ -192,13 +192,17 @@ def test_round_time_values():
         round_time(4, cfg)
 
 
-@pytest.mark.parametrize("link, messages", [
-    (LinkModel(d_km=1e308), 1.0),  # the span itself is past the float range
-    (LinkModel(c_signal_km_s=1e-310), 1.0),  # so is span / signal speed
-    (LinkModel(), 1e308),  # and so is the message count times the time
+@pytest.mark.parametrize("link, k", [
+    # the span itself is past the float range
+    pytest.param(LinkModel(d_km=1e308), 1, id="span"),
+    # so is span / signal speed
+    pytest.param(LinkModel(c_signal_km_s=1e-310), 1, id="signal-time"),
+    # and so is the message count 1 + 2k, as a float or past the float range
+    pytest.param(LinkModel(), 10**308, id="rounds-10**308"),
+    pytest.param(LinkModel(), 10**400, id="rounds-10**400"),
 ])
-def test_round_time_past_the_float_range_is_an_overflow(link, messages):
-    cfg = ChainConfig(l=2, n=1, link=link, c_es=messages, c_epp=messages)
+def test_round_time_past_the_float_range_is_an_overflow(link, k):
+    cfg = ChainConfig(l=2, n=1, link=link, epp_rounds_per_level=k)
     with pytest.raises(OverflowError, match="level 1 latency is not a finite float"):
         round_time(1, cfg)
 
@@ -290,37 +294,40 @@ def test_simulate_chain_degenerate_truncation():
 
 
 def test_resource_count_closed_forms():
-    def cfg(l, m, n, k=1):
-        return ChainConfig(l=l, n=n, link=LINK, m=m, epp_rounds_per_level=k)
+    def cfg(l, n, k=1):
+        return ChainConfig(l=l, n=n, link=LINK, epp_rounds_per_level=k)
 
-    assert resource_count(cfg(2, 2, 3)) == 64
-    assert resource_count(cfg(3, 2, 2)) == 36
-    assert resource_count(cfg(4, 3, 0)) == 1
-    # two three-pair purification rounds make each level cost l * m**2
-    assert resource_count(cfg(2, 3, 2, k=2)) == (2 * 9) ** 2
-    assert resource_scaling_form(cfg(2, 2, 3)) == pytest.approx(64.0, rel=1e-12)
-    assert resource_scaling_form(cfg(3, 2, 2)) == pytest.approx(36.0, rel=1e-12)
-    assert resource_scaling_form(cfg(4, 3, 0)) == pytest.approx(1.0, rel=1e-12)
+    assert resource_count(cfg(2, 3)) == 64
+    assert resource_count(cfg(3, 2)) == 36
+    assert resource_count(cfg(4, 0, k=3)) == 1
+    # k two-pair purification rounds make each level cost l * 2**k
+    assert resource_count(cfg(2, 2, k=2)) == 64
+    assert resource_count(cfg(3, 2, k=3)) == 576
+    assert resource_count(cfg(3, 2, k=0)) == 9
+    assert resource_scaling_form(cfg(2, 3)) == pytest.approx(64.0, rel=1e-12)
+    assert resource_scaling_form(cfg(3, 2)) == pytest.approx(36.0, rel=1e-12)
+    assert resource_scaling_form(cfg(3, 2, k=3)) == pytest.approx(576.0, rel=1e-12)
+    assert resource_scaling_form(cfg(4, 0, k=3)) == pytest.approx(1.0, rel=1e-12)
     # Counts are exact past 64 bits; only a count too long to print is refused.
-    assert resource_count(cfg(5, 5, 28)) == 25**28
+    assert resource_count(cfg(5, 28, k=2)) == 20**28
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
         with pytest.raises(OverflowError, match="more than 4300 digits"):
-            resource_count(cfg(2, 2, 10000))  # 4**10000 has 6,021 digits
+            resource_count(cfg(2, 10000))  # 4**10000 has 6,021 digits
         # Near the limit the count is still built and printed or refused
         # exactly: 10**4299 has 4,300 digits, 10**4300 one too many.
-        assert resource_count(cfg(10, 2, 4299, k=0)) == 10**4299
+        assert resource_count(cfg(10, 4299, k=0)) == 10**4299
         with pytest.raises(OverflowError, match="more than 4300 digits"):
-            resource_count(cfg(10, 2, 4300, k=0))
+            resource_count(cfg(10, 4300, k=0))
         # A purification depth past the float range is refused too, and a
         # chain of no levels still counts one pair for any depth.
         with pytest.raises(OverflowError, match="more than 4300 digits"):
-            resource_count(cfg(2, 2, 1, k=10**400))
-        assert resource_count(cfg(2, 2, 0, k=10**400)) == 1
+            resource_count(cfg(2, 1, k=10**400))
+        assert resource_count(cfg(2, 0, k=10**400)) == 1
         # No limit, no refusal.
         sys.set_int_max_str_digits(0)
-        assert resource_count(cfg(2, 2, 10000)) == 4**10000
+        assert resource_count(cfg(2, 10000)) == 4**10000
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -385,11 +392,6 @@ def test_the_walk_refuses_a_pair_count_built_by_a_swap():
     assert seen[-1] == (1, "after_epp")
 
 
-def test_expected_attempts_past_the_float_range_of_m_is_infinite():
-    cfg = ChainConfig(l=2, n=1, link=LINK, m=10**400, epp_rounds_per_level=1)
-    assert expected_attempts(cfg, IDEAL, MemoryModel.none()) == math.inf
-
-
 @pytest.mark.parametrize("name", ["purify_noisy", "swap_chain_fidelity", "memory_decay"])
 def test_every_walk_reader_sees_a_map_rebound_in_chain(monkeypatch, name):
     # A profiler or a test double replaces a map by rebinding the name the
@@ -437,18 +439,18 @@ def test_trace_csv_refuses_a_pair_count_past_the_int_to_str_limit():
 
 def test_expected_attempts_reduces_to_resource_count():
     lossless = LinkModel(d_km=25.0, f0=1.0, alpha_db_per_km=0.0)
-    cfg = ChainConfig(l=2, n=3, link=lossless, m=2, epp_rounds_per_level=1)
+    cfg = ChainConfig(l=2, n=3, link=lossless, epp_rounds_per_level=1)
     attempts = expected_attempts(cfg, IDEAL, MemoryModel.none())
     assert attempts == pytest.approx(resource_count(cfg), rel=1e-12)
 
 
 def test_expected_attempts_includes_link_and_epp_failures():
-    cfg = ChainConfig(l=2, n=2, link=LINK, m=2, epp_rounds_per_level=0)
+    cfg = ChainConfig(l=2, n=2, link=LINK, epp_rounds_per_level=0)
     # with no purification the only correction is the per-pair 1/p_link
     p_link = 10.0 ** (-0.2 * 25.0 / 10.0)
     attempts = expected_attempts(cfg, BASELINE, MemoryModel.none())
     assert attempts == pytest.approx(resource_count(cfg) / p_link, rel=1e-12)
-    with_epp = ChainConfig(l=2, n=2, link=LINK, m=2, epp_rounds_per_level=1)
+    with_epp = ChainConfig(l=2, n=2, link=LINK, epp_rounds_per_level=1)
     assert expected_attempts(with_epp, BASELINE, MemoryModel.none()) > (
         resource_count(with_epp) / p_link
     )

@@ -129,7 +129,7 @@ def test_trace_writes_csv_and_summary(capsys, tmp_path):
     )
     expected = trace_to_csv(
         simulate_chain(
-            ChainConfig(l=2, n=4, link=LinkModel(d_km=25.0, f0=0.96), m=2,
+            ChainConfig(l=2, n=4, link=LinkModel(d_km=25.0, f0=0.96),
                         epp_rounds_per_level=1),
             GateNoiseParams(p1=0.999, p2=0.99, eta=0.995),
             MemoryModel.exponential(0.01),
@@ -354,7 +354,7 @@ OVERFLOW_LINES = {
         "Overflow: level 1 latency is not a finite float (span 50.0 km)\n",
     "[link]\nd_km = 1e308\n":
         "Overflow: level 1 latency is not a finite float (span inf km)\n",
-    "[chain]\nc_es = 1e308\nc_epp = 1e308\n"
+    f"[chain]\nepp_rounds_per_level = {10**400}\n"
     "[memory]\nmode = exponential\ntau_s = 0.01\n":
         "Overflow: level 1 latency is not a finite float (span 50.0 km)\n",
     # The chain degenerates before its level spans overflow, so the first
@@ -374,7 +374,7 @@ OVERFLOW_LINES = {
     ("trace", "[link]\nc_signal_km_s = 1e-310\n"),
     ("trace", "[link]\nd_km = 1e308\n"),
     ("rate-sweep", "[link]\nd_km = 1e308\n"),
-    ("threshold", "[chain]\nc_es = 1e308\nc_epp = 1e308\n"
+    ("threshold", f"[chain]\nepp_rounds_per_level = {10**400}\n"
                   "[memory]\nmode = exponential\ntau_s = 0.01\n"),
     ("rate-sweep", "[link]\nd_km = 1e300\n[sweep]\nstop = 30\n"),
     ("trace", "[link]\nd_km = 0.1\nf0 = 0.99\n"
@@ -575,6 +575,15 @@ def test_query_fidelity_outside_unit_interval_is_a_config_error(
     assert err.startswith("config error: section [query]: f must")
 
 
+@pytest.mark.parametrize("key", ["m", "c_es", "c_epp"])
+def test_protocol_constants_are_not_chain_keys(capsys, tmp_path, key):
+    # Two pairs per round and 1 + 2k messages per level are the protocol's.
+    cfg = write(tmp_path, "chain.ini", f"[chain]\n{key} = 2\n")
+    code, out, err = run_cli(capsys, "fixed-points", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == f"config error: section [chain]: unknown key '{key}'\n"
+
+
 def test_sweep_has_no_parameter_key(capsys, tmp_path):
     cfg = write(tmp_path, "sw.ini", "[sweep]\nparameter = n\n")
     code, out, err = run_cli(capsys, "rate-sweep", "--config", cfg, "--out",
@@ -622,15 +631,6 @@ def test_undecodable_config_file_is_a_config_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
-
-
-def test_non_finite_latency_multiplier_is_a_config_error(capsys, tmp_path):
-    cfg = write(tmp_path, "nan.ini", "[chain]\nc_es = nan\n")
-    code, out, err = run_cli(capsys, "trace", "--config", cfg, "--out",
-                             str(tmp_path / "t.csv"))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("config error: section [chain]")
 
 
 def test_importing_the_cli_loads_neither_rates_nor_numpy():

@@ -132,19 +132,18 @@ memories = st.one_of(
     d_km=st.floats(0.1, 100.0),
     l=st.integers(2, 4),
     n=st.integers(0, 4),
-    m=st.integers(2, 3),
     k=st.integers(0, 2),
     f_useful=st.floats(0.0, 1.0),
 )
 @example(g=GateNoiseParams(), mem=MemoryModel.none(), f0=0.25 + 5e-13,
-         d_km=25.0, l=2, n=0, m=2, k=1, f_useful=0.5)
-def test_accepted_chains_round_trip_through_csv(g, mem, f0, d_km, l, n, m, k,
+         d_km=25.0, l=2, n=0, k=1, f_useful=0.5)
+def test_accepted_chains_round_trip_through_csv(g, mem, f0, d_km, l, n, k,
                                                 f_useful):
     try:
         link = LinkModel(d_km=d_km, f0=f0)
     except ValueError:
         return  # not an accepted chain
-    cfg = ChainConfig(l=l, n=n, link=link, m=m, epp_rounds_per_level=k)
+    cfg = ChainConfig(l=l, n=n, link=link, epp_rounds_per_level=k)
 
     trace = simulate_chain(cfg, g, mem)
     text = trace_to_csv(trace)
@@ -168,28 +167,26 @@ def test_accepted_chains_round_trip_through_csv(g, mem, f0, d_km, l, n, m, k,
     mem=memories,
     f0=fidelity,
     d_km=st.floats(0.1, 100.0),
-    l=st.integers(2, 4),
-    m=st.integers(2, 4),
+    l=st.integers(3, 4),
     n=st.integers(1, 4),
     k=st.integers(1, 3),
 )
 @example(g=GateNoiseParams(), mem=MemoryModel.none(), f0=0.99, d_km=10.0,
-         l=3, m=2, n=3, k=2)
-def test_pair_and_attempt_counts_tell_l_from_m(g, mem, f0, d_km, l, m, n, k):
-    """With l != m and purification on, a swap's factor l and a round's
-    factor m land in different places of every count."""
-    assume(l != m)
+         l=3, n=3, k=2)
+def test_pair_and_attempt_counts_tell_l_from_m(g, mem, f0, d_km, l, n, k):
+    """With l != 2 and purification on, a swap's factor l and a round's
+    factor m = 2 land in different places of every count."""
     try:
         link = LinkModel(d_km=d_km, f0=f0)
     except ValueError:
         return  # not an accepted chain
-    cfg = ChainConfig(l=l, n=n, link=link, m=m, epp_rounds_per_level=k)
+    cfg = ChainConfig(l=l, n=n, link=link, epp_rounds_per_level=k)
     walk = list(chain._walk(cfg, g, mem))
     # Each level is a swap, a memory step and k purification rounds.
     for x in range(n + 1):
         end = walk[x * (k + 2)]
         assert end.level == x
-        assert end.pairs_consumed == l**x * m ** (k * x)
+        assert end.pairs_consumed == l**x * 2 ** (k * x)
     trace = simulate_chain(cfg, g, mem)
     if not trace.degenerate:
         assert trace.steps[-1].pairs_consumed == resource_count(cfg)
@@ -199,7 +196,7 @@ def test_pair_and_attempt_counts_tell_l_from_m(g, mem, f0, d_km, l, m, n, k):
         for before, step in itertools.pairwise(walk)
         if step.stage == "after_epp"
     )
-    attempts = l**n * m ** (k * n) / link_success_probability(d_km, link) / passes
+    attempts = l**n * 2 ** (k * n) / link_success_probability(d_km, link) / passes
     assert math.isclose(expected_attempts(cfg, g, mem), attempts, rel_tol=1e-12)
 
 
@@ -624,10 +621,7 @@ SECTIONS = {
     "chain": optional_keys(
         l=ints_between(2, 8),
         n=ints_between(0, 600),
-        m=ints_between(2, 5),
         epp_rounds_per_level=ints_between(0, 4),
-        c_es=floats_between(0.0, 4.0),
-        c_epp=floats_between(0.0, 4.0),
     ),
     "link": optional_keys(
         d_km=floats_between(0.1, 100.0),
@@ -688,7 +682,7 @@ def with_config_examples(test):
         "[query]\nf = 1.5\n",
         "[link]\nc_signal_km_s = 1e-310\n",
         "[link]\nd_km = 1e308\n",
-        "[chain]\nc_es = 1e308\nc_epp = 1e308\n[memory]\nmode = exponential\ntau_s = 0.01\n",
+        f"[chain]\nepp_rounds_per_level = {10**400}\n[memory]\nmode = exponential\ntau_s = 0.01\n",
         "[sweep]\nstop = 32\n",
         "[chain]\nn = 10000\n",
         "[link]\nd_km = 1e300\n[sweep]\nstop = 30\n",
@@ -873,12 +867,9 @@ NUMERIC_PARAMETERS = {
         "tau_s", lambda v: MemoryModel("none", v), lambda mem: mem.tau_s is None),
     "ChainConfig.l": ("l", lambda v: CHAIN._replace(l=v), an_int_field("l", 2)),
     "ChainConfig.n": ("n", lambda v: CHAIN._replace(n=v), an_int_field("n", 0)),
-    "ChainConfig.m": ("m", lambda v: CHAIN._replace(m=v), an_int_field("m", 2)),
     "ChainConfig.epp_rounds_per_level": (
         "epp_rounds_per_level", lambda v: CHAIN._replace(epp_rounds_per_level=v),
         an_int_field("epp_rounds_per_level", 0)),
-    "ChainConfig.c_es": ("c_es", lambda v: CHAIN._replace(c_es=v), a_float_field("c_es")),
-    "ChainConfig.c_epp": ("c_epp", lambda v: CHAIN._replace(c_epp=v), a_float_field("c_epp")),
 }
 
 

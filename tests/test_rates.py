@@ -81,7 +81,7 @@ def test_usefulness_weight():
 def test_repeater_rate_ideal_is_inverse_resource():
     link = LinkModel(d_km=25.0, f0=1.0)
     for n in (1, 2, 4, 7):
-        cfg = ChainConfig(l=2, n=n, link=link, m=2, epp_rounds_per_level=1)
+        cfg = ChainConfig(l=2, n=n, link=link, epp_rounds_per_level=1)
         rr = repeater_rate(cfg, IDEAL, MemoryModel.none())
         assert rr.final_fidelity == pytest.approx(1.0, abs=1e-12)
         assert rr.rate_resource == 0.25**n
@@ -138,7 +138,7 @@ def test_threshold_immediate_for_instant_decay():
 
 def test_threshold_baseline_frozen():
     link = LinkModel(d_km=25.0, f0=0.96, c_signal_km_s=3e5)
-    cfg = ChainConfig(l=2, n=8, link=link, epp_rounds_per_level=0, c_es=1.0)
+    cfg = ChainConfig(l=2, n=8, link=link, epp_rounds_per_level=0)
     th = threshold_distance(cfg, BASELINE, MemoryModel.exponential(5e-3))
     assert th.level == 3
     assert th.distance_km == pytest.approx(200.0)
@@ -420,7 +420,7 @@ def test_curves_csv_round_trip():
          GateNoiseParams(p1=0.972, p2=0.986, eta=0.961),
          MemoryModel.exponential(0.001987), list(range(0, 8))),
         # three-way merges, two purification rounds, sparse depths
-        (ChainConfig(l=3, n=1, link=LinkModel(d_km=40.0, f0=0.98), m=3,
+        (ChainConfig(l=3, n=1, link=LinkModel(d_km=40.0, f0=0.98),
                      epp_rounds_per_level=2),
          BASELINE, MemoryModel.exponential(2e-2), [0, 2, 4, 5]),
     ],

@@ -58,7 +58,7 @@ VALIDATED = [
      {"tau_s": None}, ValueError, "requires tau_s"),
     (ChainConfig(2, 3, LinkModel(d_km=10.0, f0=0.9)),
      "ChainConfig(l=2, n=3, link=LinkModel(d_km=10.0, f0=0.9, alpha_db_per_km=0.2, "
-     "c_signal_km_s=200000.0), m=2, epp_rounds_per_level=1, c_es=1.0, c_epp=2.0)",
+     "c_signal_km_s=200000.0), epp_rounds_per_level=1)",
      {"l": True}, TypeError, "^l must be a number"),
     (FidelityTrace((TraceStep(0, "init", 0.96, 0.0, 1),)),
      "FidelityTrace(steps=(TraceStep(level=0, stage='init', fidelity=0.96, "
