@@ -16,6 +16,7 @@ noisy swap's output is not Werner: in the density-matrix circuits, an untwirled
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -47,6 +48,33 @@ MAX_SCHEDULE_LINKS = 2**16
 STAGES = ("init", "after_es", "after_memory", "after_epp")
 
 
+#: Bit length of 2**1024, the smallest int past the float range.  A
+#: :func:`_bit_length` above it is past the range too, as it is within one.
+_FLOAT_BITS = sys.float_info.max_exp + 1
+
+
+@functools.lru_cache(maxsize=256)
+def _bit_length(l: int, k: int, n: int) -> int:
+    """The bit length of ``(l * 2**k)**n``, within one, in ints alone.
+
+    That is ``floor(n * (log2(l) + k)) + 1``, with ``log2(l)`` taken as the
+    exact ratio of its float, so no huge ``n`` or ``k`` meets a float and no
+    power is built.  Every power of the chain's shape is sized here: ``k = 0``
+    gives ``l**n``.  Cached, as every level of every walk asks again for the
+    same few sizes.
+    """
+    lp, lq = math.log2(l).as_integer_ratio()
+    return n * (lp + k * lq) // lq + 1
+
+
+def _print_budget() -> float:
+    """The bit length past which an int is two or more digits longer than
+    ``str`` prints, or ``inf`` when ``str`` has no limit."""
+    limit = sys.get_int_max_str_digits()
+    # 2**bits >= 10**(limit + 1); a longer int has limit + 2 digits.
+    return math.ceil((limit + 1) * math.log2(10)) if limit else math.inf
+
+
 class ChainConfig(_Record):
     """Static description of one repeater chain: its shape only.
 
@@ -66,6 +94,8 @@ class ChainConfig(_Record):
     def __init__(self, l: int, n: int, link: LinkModel, epp_rounds_per_level: int = 1) -> None:
         _setattr(self, "l", _integer("l", l, 2))
         _setattr(self, "n", _integer("n", n, 0))
+        if not isinstance(link, LinkModel):
+            raise TypeError(f"link must be a LinkModel, got {link!r}")
         _setattr(self, "link", link)
         _setattr(self, "epp_rounds_per_level",
                  _integer("epp_rounds_per_level", epp_rounds_per_level, 0))
@@ -75,20 +105,19 @@ class ChainConfig(_Record):
         """Number of elementary links, N = l**n."""
         return self.l**self.n
 
-    @property
-    def total_distance_km(self) -> float:
-        return self.span_km(self.n)
-
     def span_km(self, x: int) -> float:
         """Length of ``l**x`` elementary links, in km.
 
         An ``l**x`` past the float range reads as ``inf``, as it would in
-        floating point, rather than failing to convert.
+        floating point, rather than failing to convert; when
+        :func:`_bit_length` already puts it there, ``l**x`` is never built.
         """
-        try:
-            return self.l**x * self.link.d_km
-        except OverflowError:
-            return math.inf
+        if _bit_length(self.l, 0, x) <= _FLOAT_BITS:
+            try:
+                return self.l**x * self.link.d_km
+            except OverflowError:
+                pass
+        return math.inf
 
 
 class ScheduleRound(NamedTuple):
@@ -108,9 +137,10 @@ def build_schedule(cfg: ChainConfig) -> list[ScheduleRound]:
     N) never act.  Raises ``ValueError`` for more than
     :data:`MAX_SCHEDULE_LINKS` elementary links.
     """
-    # With l >= 2, a depth past log2 of the bound exceeds it; testing that
-    # first never computes l**n for a huge n.
-    if cfg.n >= MAX_SCHEDULE_LINKS.bit_length() or cfg.checkpoints > MAX_SCHEDULE_LINKS:
+    # The estimate first, so l**n is never built for a huge n; one bit of
+    # slack, as it is within one.
+    if (_bit_length(cfg.l, 0, cfg.n) > MAX_SCHEDULE_LINKS.bit_length() + 1
+            or cfg.checkpoints > MAX_SCHEDULE_LINKS):
         raise ValueError(
             f"schedule of {cfg.l}**{cfg.n} links exceeds {MAX_SCHEDULE_LINKS} links"
         )
@@ -198,17 +228,16 @@ def _walk(cfg: ChainConfig, g: GateNoiseParams, mem: MemoryModel, floor: bool = 
     over the level's full latency (time advances even when the memory is
     perfect), then each purification round.  Pair accounting is cumulative:
     a swap multiplies consumption by ``l``, each purification round by
-    ``m = 2``.  A count a digit or more past what ``str`` prints raises
-    ``OverflowError`` where it is built.  With ``floor`` the walk stops right
-    after the first degenerate step, at the fully mixed floor; without it, it
-    never stops early.  The maps are looked up in this module once per walk,
+    ``m = 2``.  A count longer than :func:`_print_budget` bits, so a digit
+    or more past what ``str`` prints, raises ``OverflowError`` where it is
+    built; the budget is read once per walk.  With ``floor`` the walk stops
+    right after the first degenerate step, at the fully mixed floor; without
+    it, it never stops early.  The maps are looked up in this module once per walk,
     as it starts, so a map rebound before a walk is the one that walk calls.
     """
     swap, decay, purify, make = swap_chain_fidelity, memory_decay, purify_noisy, TraceStep._make
     l, m, rounds = cfg.l, cfg.m, range(cfg.epp_rounds_per_level)
-    limit = sys.get_int_max_str_digits()
-    # 2**max_bits >= 10**(limit + 1); a longer count has limit + 2 digits.
-    max_bits = math.ceil((limit + 1) * math.log2(10)) if limit else math.inf
+    max_bits = _print_budget()
     f = cfg.link.f0
     elapsed = 0.0
     pairs = 1
@@ -267,22 +296,15 @@ def resource_count(cfg: ChainConfig) -> int:
     Every level multiplies consumption by ``l`` (swapping) and by ``m = 2``
     per purification round, giving ``(l * 2**k)**n``: the exact int the last
     step of a full trace carries.  Raises ``OverflowError`` for a count too
-    long to print, without building it or ``2**k`` when its log10,
-    ``n * (log10(l) + k * log10(2))``, is a digit or more past the limit.
-    Success probabilities are deliberately excluded; see
-    :func:`expected_attempts` for the probabilistic cost.
+    long to print, without building it or ``2**k`` when its
+    :func:`_bit_length` is past the :func:`_print_budget`.  Success
+    probabilities are deliberately excluded; see :func:`expected_attempts`
+    for the probabilistic cost.
     """
     l, m, k, n = cfg.l, cfg.m, cfg.epp_rounds_per_level, cfg.n
-    limit = sys.get_int_max_str_digits()
-    # Compared rather than multiplied, and k bounded before it meets a
-    # float, so no huge n or k overflows one.  n = 0 counts 1 for any k.
-    if limit and n and (
-        k >= (limit + 1) / math.log10(m)
-        or n >= (limit + 1) / (math.log10(l) + k * math.log10(m))
-    ):
-        # About n * (log2(l) + k) bits, as log2(m) is 1.
-        lp, lq = math.log2(l).as_integer_ratio()
-        raise _too_long(n * (lp + k * lq) // lq + 1)
+    bits = _bit_length(l, k, n)
+    if bits > _print_budget():
+        raise _too_long(bits)
     return _printable(l**n * m ** (k * n))
 
 
@@ -307,11 +329,20 @@ def resource_scaling_form(cfg: ChainConfig) -> float:
 
     Floating-point cross-check of :func:`resource_count`; the two agree to
     rounding error, which is the point: total resources are polynomial in the
-    number of links.
+    number of links.  The exponent is written ``k / log2(l) + 1``, so ``2**k``
+    is never built.  ``n = 0`` gives 1 for any ``k``, and a count past the
+    float range reads as ``inf``, as in :func:`expected_attempts`; when
+    :func:`_bit_length` already puts it there, ``l**n`` is never built.
     """
-    pairs_per_level = cfg.m**cfg.epp_rounds_per_level
-    exponent = math.log(pairs_per_level, cfg.l) + 1.0
-    return float(cfg.checkpoints) ** exponent
+    l, k, n = cfg.l, cfg.epp_rounds_per_level, cfg.n
+    if n == 0:
+        return 1.0
+    if _bit_length(l, k, n) <= _FLOAT_BITS:
+        try:
+            return float(l**n) ** (k / math.log2(l) + 1.0)
+        except OverflowError:
+            pass
+    return math.inf
 
 
 def expected_attempts(

@@ -23,9 +23,10 @@ class LinkModel(_Record):
         _setattr(self, "alpha_db_per_km", _real("alpha_db_per_km", alpha_db_per_km, 0.0))
         _setattr(self, "c_signal_km_s",
                  _real("c_signal_km_s", c_signal_km_s, 0.0, open_low=True))
-        # At or below the degeneracy floor the chain would stop before it starts.
-        _setattr(self, "f0",
-                 _real("f0", f0, DEGENERACY_THRESHOLD, 1.0 + FIDELITY_TOL, open_low=True))
+        # At or below the degeneracy floor the chain would stop before it
+        # starts; rounding spill past 1 is clamped, as validate_fidelity does.
+        f0 = _real("f0", f0, DEGENERACY_THRESHOLD, 1.0 + FIDELITY_TOL, open_low=True)
+        _setattr(self, "f0", f0 if f0 <= 1.0 else 1.0)
 
 
 class MemoryModel(_Record):

@@ -241,9 +241,11 @@ class FixedPoints(_Record):
     __slots__ = ("f_min", "f_max", "marginal")
 
     def __init__(self, f_min: float, f_max: float, marginal: bool = False) -> None:
-        _real("f_min", f_min, MIXED_FIDELITY, 1.0 + FIDELITY_TOL, open_low=True)
-        _setattr(self, "f_min", f_min)
-        _setattr(self, "f_max", _real("f_max", f_max, f_min, 1.0 + FIDELITY_TOL))
+        # Rounding spill past 1 is clamped, as validate_fidelity does.
+        f_min = _real("f_min", f_min, MIXED_FIDELITY, 1.0 + FIDELITY_TOL, open_low=True)
+        _setattr(self, "f_min", f_min if f_min <= 1.0 else 1.0)
+        f_max = _real("f_max", f_max, self.f_min, 1.0 + FIDELITY_TOL)
+        _setattr(self, "f_max", f_max if f_max <= 1.0 else 1.0)
         if marginal.__class__ is not bool:
             raise TypeError(f"marginal must be a bool, got {marginal!r}")
         _setattr(self, "marginal", marginal)

@@ -109,6 +109,16 @@ MUTANTS = {
     "messages-per-level": (
         "chain.py", "(1.0 + 2.0 * k)", "(1.0 + 2.0)",
         "round_time with epp_rounds_per_level != 1"),
+    # Size rule.
+    "print-budget-digit": (
+        "chain.py", "(limit + 1) * math.log2(10)", "(limit + 2) * math.log2(10)",
+        "the walk hands on a pair count two digits past what str prints"),
+    "bit-estimate-plus-one": (
+        "chain.py", "n * (lp + k * lq) // lq + 1", "n * (lp + k * lq) // lq",
+        "resource_count's refusal names a count one bit short"),
+    "f0-clamp": (
+        "noise.py", '_setattr(self, "f0", f0 if f0 <= 1.0 else 1.0)', '_setattr(self, "f0", f0)',
+        "LinkModel(f0=1 + 5e-13) keeps a fidelity past 1"),
     # The walk's floor.
     "steps-past-floor": (
         "chain.py", "_walk(cfg, g, mem, floor=True)", "_walk(cfg, g, mem, floor=False)",

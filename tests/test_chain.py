@@ -96,7 +96,13 @@ def test_chain_config_validation():
         ChainConfig(l=True, n=2, link=LINK)
     cfg = ChainConfig(l=3, n=2, link=LINK)
     assert cfg.checkpoints == 9
-    assert cfg.total_distance_km == pytest.approx(225.0)
+    assert cfg.span_km(cfg.n) == pytest.approx(225.0)
+
+
+@pytest.mark.parametrize("link", [None, 25.0, "LinkModel()", GateNoiseParams()])
+def test_chain_config_refuses_a_link_that_is_not_a_link_model(link):
+    with pytest.raises(TypeError, match=r"^link must be a LinkModel, got "):
+        ChainConfig(l=2, n=1, link=link)
 
 
 @pytest.mark.parametrize("key, value", [("m", 2), ("c_es", 1.0), ("c_epp", 2.0)])
@@ -330,6 +336,41 @@ def test_resource_count_closed_forms():
         assert resource_count(cfg(2, 10000)) == 4**10000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_resource_scaling_form_past_the_float_range_is_inf():
+    def cfg(l, n, k):
+        return ChainConfig(l=l, n=n, link=LINK, epp_rounds_per_level=k)
+
+    # 16 pairs per level: 16**255 = 2**1020 pairs fit a float, 16**256 do not.
+    assert resource_scaling_form(cfg(2, 255, 3)) == pytest.approx(2.0**1020, rel=1e-12)
+    assert resource_scaling_form(cfg(2, 256, 3)) == math.inf
+    # Neither 2**k nor l**n is built: 2**(10**8) alone would take 12.5 MB.
+    tracemalloc.start()
+    try:
+        for l, n, k in ((2, 1, 10**8), (2, 2000, 0), (3, 10**8, 1), (2, 1, 10**400)):
+            assert resource_scaling_form(cfg(l, n, k)) == math.inf
+        # A chain of no levels counts one pair for any depth, as resource_count does.
+        for k in (0, 3, 10**400):
+            assert resource_scaling_form(cfg(4, 0, k)) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_span_km_past_the_float_range_is_inf_without_building_the_power():
+    cfg = ChainConfig(l=3, n=2, link=LINK)
+    assert cfg.span_km(600) == pytest.approx(25.0 * 3.0**600, rel=1e-12)
+    assert cfg.span_km(647) == math.inf  # 3**647 is past 2**1024
+    # 3**(10**8) alone would take about 20 MB.
+    tracemalloc.start()
+    try:
+        assert cfg.span_km(10**8) == math.inf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_resource_count_refuses_a_huge_depth_without_building_the_count():

@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -752,10 +753,10 @@ def test_cli_refuses_any_config_at_a_bounded_memory_peak(text):
 
 #: Hostile numbers for every numeric parameter of the public API: NaN, the
 #: infinities, subnormals, the float range's edges and ints past it, flags,
-#: non-numbers, and the edges 0, 1/4 and 1.
+#: non-numbers, the edges 0, 1/4 and 1, and rounding spill past 1.
 HOSTILE = (
     math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 10**400, -10**400,
-    True, False, "0.5", None, 0, 0.25, 1,
+    True, False, "0.5", None, 0, 0.25, 1, 1.0 + FIDELITY_TOL / 2,
 )
 hostile = st.one_of(st.sampled_from(HOSTILE), st.floats(), st.integers())
 
@@ -781,11 +782,12 @@ def full_probability(branches) -> bool:
     return abs(sum(b.probability for b in branches) - 1.0) <= 1e-12
 
 
-def a_float_field(name, low=0.0):
-    """A constructed object's field ``name`` holds a finite number >= ``low``."""
+def a_float_field(name, low=0.0, high=sys.float_info.max):
+    """A constructed object's field ``name`` holds a number from ``low`` to
+    ``high``, which defaults to the largest float."""
     def holds(obj):
         value = getattr(obj, name)
-        return type(value) in (int, float) and low <= value < math.inf
+        return type(value) in (int, float) and low <= value <= high
     return holds
 
 
@@ -848,15 +850,17 @@ NUMERIC_PARAMETERS = {
     "map_deviations": (
         "f", lambda v: map_deviations([v], [NOISY]),
         lambda worst: all(d <= ORACLE_TOLERANCE for d in worst.values())),
-    "FixedPoints.f_min": ("f_min", lambda v: FixedPoints(v, 1.0), a_float_field("f_min", 0.25)),
-    "FixedPoints.f_max": ("f_max", lambda v: FixedPoints(0.5, v), a_float_field("f_max", 0.5)),
+    "FixedPoints.f_min": (
+        "f_min", lambda v: FixedPoints(v, 1.0), a_float_field("f_min", 0.25, 1.0)),
+    "FixedPoints.f_max": (
+        "f_max", lambda v: FixedPoints(0.5, v), a_float_field("f_max", 0.5, 1.0)),
     "FixedPoints.marginal": (
         "marginal", lambda v: FixedPoints(0.5, 1.0, v), lambda fp: type(fp.marginal) is bool),
     "GateNoiseParams.p1": ("p1", lambda v: GateNoiseParams(p1=v), a_float_field("p1")),
     "GateNoiseParams.p2": ("p2", lambda v: GateNoiseParams(p2=v), a_float_field("p2")),
     "GateNoiseParams.eta": ("eta", lambda v: GateNoiseParams(eta=v), a_float_field("eta")),
     "LinkModel.d_km": ("d_km", lambda v: LinkModel(d_km=v), a_float_field("d_km")),
-    "LinkModel.f0": ("f0", lambda v: LinkModel(f0=v), a_float_field("f0", 0.25)),
+    "LinkModel.f0": ("f0", lambda v: LinkModel(f0=v), a_float_field("f0", 0.25, 1.0)),
     "LinkModel.alpha_db_per_km": (
         "alpha_db_per_km", lambda v: LinkModel(alpha_db_per_km=v),
         a_float_field("alpha_db_per_km")),

@@ -340,6 +340,23 @@ def test_sweep_rates_checks_each_depth_only_when_it_gets_there():
         sweep_rates(cfg, IDEAL, MemoryModel.none(), _Depths(10**6, 2000))
 
 
+def test_sweep_rates_refuses_a_huge_depth_without_building_its_span():
+    # The chain goes fully mixed in its first levels, so the walk stops
+    # before it counts a huge pair count; 2**(10**8) links alone would
+    # take 12.5 MB.
+    cfg = ChainConfig(l=2, n=3, link=LinkModel(f0=0.5), epp_rounds_per_level=0)
+    g = GateNoiseParams(p1=0.9, p2=0.99, eta=0.99)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError,
+                           match="^depth 100000000: total distance is past the float range$"):
+            sweep_rates(cfg, g, MemoryModel.none(), [10**8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("reader", ["sweep_rates", "threshold_distance", "repeater_rate"])
 def test_rate_readers_keep_no_trace(reader):
     # 1,400 purification rounds a level: 14,000 steps, each with an exact
@@ -449,7 +466,7 @@ def test_sweep_rates_equals_per_depth_repeater_rate(cfg, g, mem, n_values):
             ):
                 if value > 0.0 and math.isfinite(value):
                     expected[(regime, metric)].append(
-                        (cfg_n.total_distance_km, value, metric)
+                        (cfg_n.span_km(n), value, metric)
                     )
     got = [
         [(p.distance_km, p.rate, p.metric) for p in c.points] for c in curves[1:]
